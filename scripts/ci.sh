@@ -9,7 +9,8 @@
 # failpoints (with explicit poison-recovery gates), clippy and rustdoc
 # with warnings denied, a compile check of the feature-gated Criterion
 # bench targets, CLI smokes of the deadline- and memory-degradation
-# paths, a --cache-dir round-trip smoke, a two-process shared --cache-dir
+# paths, an adr4 smoke that every cover is proved optimal, a --cache-dir
+# round-trip smoke, a two-process shared --cache-dir
 # smoke (concurrent writers, bit-identical answers), a serve smoke
 # (daemon up, spp-loadgen drive, SIGINT drain), jq gates on the
 # spp-bench/8 baseline including its kernel_backend, cache-stats,
@@ -63,6 +64,14 @@ cargo check -p spp-bench --benches --features criterion-benches
 
 echo "==> CLI deadline smoke (--deadline-ms 1 must degrade, not break)"
 ./target/release/spp bench life --deadline-ms 1 --quiet | grep -q "deadline_exceeded"
+
+echo "==> CLI optimality smoke (the covering lower bound proves every adr4 output)"
+ADR4_OUT=$(./target/release/spp bench adr4 --threads 1 --quiet)
+grep -q "^adr4\[4\]" <<<"$ADR4_OUT"
+if grep -F "[upper bound]" <<<"$ADR4_OUT"; then
+  echo "ci: adr4 covers were not all proved optimal" >&2
+  exit 1
+fi
 
 echo "==> CLI memory smoke (--mem-budget-mb 1 must land on a lower rung)"
 ./target/release/spp bench adr4 --mem-budget-mb 1 --quiet --threads 2 \
