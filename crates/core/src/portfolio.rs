@@ -565,6 +565,48 @@ mod tests {
     }
 
     #[test]
+    fn impossible_hard_budget_pins_the_nested_ladder_and_race_trace() {
+        let f = BoolFn::from_truth_fn(5, |x| x % 3 == 1);
+        let buf = Buf::default();
+        let r = Minimizer::new(&f)
+            .mem_budget(None, Some(1))
+            .on_event(Arc::new(JsonLinesSink::new(buf.clone())))
+            .run_portfolio(&FormPortfolio::new());
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let trace: Vec<&str> = text
+            .lines()
+            .filter(|l| {
+                l.starts_with("{\"event\":\"rung_") || l.starts_with("{\"event\":\"form_")
+            })
+            .collect();
+        // The SPP entrant runs the whole ladder inside its own form
+        // events: every generating rung trips the one-byte budget and the
+        // SP bottom rung answers; the cube engines charge nothing.
+        assert_eq!(
+            trace,
+            [
+                r#"{"event":"form_started","form":"spp"}"#,
+                r#"{"event":"rung_started","rung":"exact"}"#,
+                r#"{"event":"rung_finished","rung":"exact","outcome":"memory_exceeded","accepted":false}"#,
+                r#"{"event":"rung_started","rung":"restricted_exact"}"#,
+                r#"{"event":"rung_finished","rung":"restricted_exact","outcome":"memory_exceeded","accepted":false}"#,
+                r#"{"event":"rung_started","rung":"heuristic"}"#,
+                r#"{"event":"rung_finished","rung":"heuristic","outcome":"memory_exceeded","accepted":false}"#,
+                r#"{"event":"rung_started","rung":"sop"}"#,
+                r#"{"event":"rung_finished","rung":"sop","outcome":"completed","accepted":true}"#,
+                r#"{"event":"form_finished","form":"spp","outcome":"completed","cost":55,"accepted":true}"#,
+                r#"{"event":"form_started","form":"esop"}"#,
+                r#"{"event":"form_finished","form":"esop","outcome":"completed","cost":37,"accepted":true}"#,
+                r#"{"event":"form_started","form":"dsop"}"#,
+                r#"{"event":"form_finished","form":"dsop","outcome":"completed","cost":55,"accepted":true}"#,
+                r#"{"event":"form_started","form":"sop"}"#,
+                r#"{"event":"form_finished","form":"sop","outcome":"completed","cost":55,"accepted":true}"#,
+            ]
+        );
+        assert_eq!((r.winner, r.cost, r.rung), (Form::Esop, 37, Rung::Heuristic));
+    }
+
+    #[test]
     fn warm_race_hits_every_form_lane() {
         let cache = SppCache::in_memory(4 * 1024 * 1024);
         let f = BoolFn::from_truth_fn(4, |x| x % 3 == 1);

@@ -578,17 +578,25 @@ mod tests {
         assert_eq!(r.rung, Rung::Sop);
         assert!(!r.optimal);
         assert!(r.form.check_realizes(&f).is_ok());
-        let text = log.0.lock().unwrap().join("\n");
-        for rung in ["exact", "restricted_exact", "heuristic"] {
-            assert!(
-                text.contains(&format!(
-                    "{{\"event\":\"rung_finished\",\"rung\":\"{rung}\",\
-                     \"outcome\":\"memory_exceeded\",\"accepted\":false}}"
-                )),
-                "missing descent record for {rung} in:\n{text}"
-            );
-        }
-        assert!(text.contains("\"rung\":\"sop\",\"outcome\":\"completed\",\"accepted\":true"));
+        let lines = log.0.lock().unwrap();
+        let trace: Vec<&str> = lines
+            .iter()
+            .map(String::as_str)
+            .filter(|l| l.starts_with("{\"event\":\"rung_"))
+            .collect();
+        assert_eq!(
+            trace,
+            [
+                r#"{"event":"rung_started","rung":"exact"}"#,
+                r#"{"event":"rung_finished","rung":"exact","outcome":"memory_exceeded","accepted":false}"#,
+                r#"{"event":"rung_started","rung":"restricted_exact"}"#,
+                r#"{"event":"rung_finished","rung":"restricted_exact","outcome":"memory_exceeded","accepted":false}"#,
+                r#"{"event":"rung_started","rung":"heuristic"}"#,
+                r#"{"event":"rung_finished","rung":"heuristic","outcome":"memory_exceeded","accepted":false}"#,
+                r#"{"event":"rung_started","rung":"sop"}"#,
+                r#"{"event":"rung_finished","rung":"sop","outcome":"completed","accepted":true}"#,
+            ]
+        );
     }
 
     #[test]
