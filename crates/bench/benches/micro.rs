@@ -140,8 +140,8 @@ fn bench_cover(c: &mut Criterion) {
 
 fn bench_bitset_kernels(c: &mut Criterion) {
     // The word-level kernels the covering search runs per node: masked
-    // subset tests (dominance), capped intersection counts (branch-row
-    // selection) and masked unions (the disjoint-rows lower bound).
+    // subset tests (dominance), intersection counts and masked unions
+    // (the disjoint-rows lower bound).
     use spp_cover::BitSet;
     let n = 4096;
     let mut x = 0xDEAD_BEEF_1234_5678u64;
@@ -173,9 +173,6 @@ fn bench_bitset_kernels(c: &mut Criterion) {
         b.iter(|| black_box(sub.is_subset_within(&a, &mask)))
     });
     c.bench_function("bitset/and_count_ones", |b| b.iter(|| black_box(a.and_count_ones(&mask))));
-    c.bench_function("bitset/and_count_ones_capped", |b| {
-        b.iter(|| black_box(a.and_count_ones_capped(&mask, 2)))
-    });
     c.bench_function("bitset/first_one_in", |b| b.iter(|| black_box(a.first_one_in(&mask))));
     let mut acc = BitSet::new(n);
     c.bench_function("bitset/union_with_masked_scratch_reuse", |b| {
@@ -213,9 +210,6 @@ fn bench_kernel_backends(c: &mut Criterion) {
         let tag = backend.name();
         c.bench_function(&format!("kernel/{tag}/and_count"), |bch| {
             bch.iter(|| black_box(backend.and_count(&a, &b)))
-        });
-        c.bench_function(&format!("kernel/{tag}/and_count_capped"), |bch| {
-            bch.iter(|| black_box(backend.and_count_capped(&a, &b, 2)))
         });
         c.bench_function(&format!("kernel/{tag}/subset_within"), |bch| {
             bch.iter(|| black_box(backend.subset_within(&b, &a, &mask)))

@@ -39,6 +39,11 @@ impl SppForm {
         SppForm { n, terms }
     }
 
+    /// An SP form read as an SPP form: every cube is a pseudoproduct.
+    pub(crate) fn from_sp(sp: &spp_sp::SpForm) -> Self {
+        SppForm::new(sp.num_vars(), sp.cubes().iter().map(Pseudocube::from_cube).collect())
+    }
+
     /// The number of input variables.
     #[must_use]
     pub fn num_vars(&self) -> usize {

@@ -95,6 +95,30 @@ impl SppMinResult {
     pub fn literal_count(&self) -> u64 {
         self.form.literal_count()
     }
+
+    /// An SP form as an SPP result on the [`Rung::Sop`] rung. It never
+    /// claims optimality: an SP form only bounds the minimal SPP form.
+    pub(crate) fn from_sp(sp: &spp_sp::SpForm, outcome: Outcome) -> Self {
+        let form = SppForm::from_sp(sp);
+        SppMinResult {
+            num_candidates: form.num_pseudoproducts(),
+            form,
+            gen_stats: GenStats::default(),
+            optimal: false,
+            gen_elapsed: std::time::Duration::ZERO,
+            cover_elapsed: std::time::Duration::ZERO,
+            outcome,
+            rung: Rung::Sop,
+            faults: Vec::new(),
+        }
+    }
+}
+
+/// The SP minimum of `f` — the backstop under every SPP path, since cubes
+/// are pseudoproducts ("in the worst case, SP and SPP forms coincide" —
+/// paper §1). Every SP minimization in this crate goes through here.
+pub(crate) fn sp_minimum(f: &BoolFn, limits: &spp_cover::Limits) -> spp_sp::SpMinResult {
+    spp_sp::minimize_sp(f, limits)
 }
 
 /// The run-control-aware exact minimizer behind
@@ -199,12 +223,9 @@ pub(crate) fn exact_session_cached(
     if eppp.stats.truncated {
         // Junk-heavy truncated pools can mislead the greedy cover; the SP
         // minimum is always a valid SPP form, so never return worse.
-        let sp = spp_sp::minimize_sp(f, &options.cover_limits);
+        let sp = sp_minimum(f, &options.cover_limits);
         if sp.form.literal_count() < form.literal_count() {
-            form = SppForm::new(
-                f.num_vars(),
-                sp.form.cubes().iter().map(Pseudocube::from_cube).collect(),
-            );
+            form = SppForm::from_sp(&sp.form);
         }
     }
     let cover_elapsed = cover_start.elapsed();

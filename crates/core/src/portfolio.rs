@@ -10,27 +10,29 @@
 //! returns a [`PortfolioResult`] naming the winner plus a
 //! [`PortfolioReport`] per entrant.
 //!
-//! The race generalizes the resource-governed *rung* ladder
-//! ([`Minimizer::run_governed`]) from one form's fallbacks to many forms'
-//! championships: each form gets a governor reset (so one entrant's
-//! memory spike cannot disqualify the next), a form that ends in
-//! [`Outcome::MemoryExceeded`] or fails verification is excluded from
-//! the race, and — exactly like the ladder's bottom rung — a plain SOP
-//! cover backstops the portfolio when every requested entrant is
-//! excluded. Forms always run in the fixed [`Form::ALL`] order and ties
-//! break toward the earlier form, so for completed races the winner and
-//! its cost are bit-identical at any thread count.
+//! The race is the degradation ladder ([`Minimizer::run_governed`])
+//! turned sideways: both are plans run by the session's one executor. Each
+//! form gets a governor reset (so one entrant's memory spike cannot
+//! disqualify the next), a form that ends in [`Outcome::MemoryExceeded`]
+//! or fails verification is excluded, and the SP minimum backstops a race
+//! whose every entrant was excluded, as it backstops the ladder. Where the
+//! ladder takes the first accepted rung, the race runs every form and
+//! takes the cheapest; forms always run in the fixed [`Form::ALL`] order
+//! and ties break toward the earlier form, so for completed races the
+//! winner and its cost are bit-identical at any thread count. The SPP
+//! entrant is itself the governed ladder, nested inside the race.
 
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use spp_boolfn::BoolFn;
 use spp_dsop::DsopForm;
 use spp_esop::{EsopForm, EsopLimits};
-use spp_obs::{Event, Form, Outcome, Rung};
-use spp_sp::SpForm;
+use spp_obs::{Form, Outcome, RunCtx, Rung};
+use spp_sp::{SpForm, SpMinResult};
 
-use crate::session::Minimizer;
+use crate::minimize::sp_minimum;
+use crate::session::{Attempt, Minimizer, Pick};
 use crate::SppForm;
 
 /// What the race minimizes.
@@ -117,12 +119,6 @@ impl FormPortfolio {
     pub fn objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
         self
-    }
-
-    /// The requested form subset, exactly as configured (empty = all).
-    #[must_use]
-    pub fn requested(&self) -> &[Form] {
-        &self.forms
     }
 
     /// The configured objective.
@@ -212,24 +208,12 @@ impl FormRealization {
     /// free.
     #[must_use]
     pub fn cost(&self, objective: Objective) -> u64 {
-        match objective {
-            Objective::Literals => self.literal_count(),
-            Objective::Gates => match self {
-                FormRealization::Spp(form) => {
-                    let mut cost = 0u64;
-                    for term in form.terms() {
-                        let cex = term.cex();
-                        for factor in cex.factors() {
-                            cost += 2 * u64::from(factor.literal_count()).saturating_sub(1);
-                        }
-                        cost += (cex.factors().len() as u64).saturating_sub(1);
-                    }
-                    cost + (form.num_pseudoproducts() as u64).saturating_sub(1)
-                }
-                FormRealization::Esop(form) => gate_cost_cubes(form.cubes(), 2),
-                FormRealization::Dsop(form) => gate_cost_cubes(form.cubes(), 1),
-                FormRealization::Sop(form) => gate_cost_cubes(form.cubes(), 1),
-            },
+        match (objective, self) {
+            (_, FormRealization::Spp(form)) => spp_cost(form, objective),
+            (Objective::Literals, _) => self.literal_count(),
+            (Objective::Gates, FormRealization::Esop(form)) => gate_cost_cubes(form.cubes(), 2),
+            (Objective::Gates, FormRealization::Dsop(form)) => gate_cost_cubes(form.cubes(), 1),
+            (Objective::Gates, FormRealization::Sop(form)) => gate_cost_cubes(form.cubes(), 1),
         }
     }
 }
@@ -244,6 +228,22 @@ impl fmt::Display for FormRealization {
             FormRealization::Sop(form) => form.fmt(f),
         }
     }
+}
+
+/// An SPP form's cost under `objective` (see [`FormRealization::cost`]).
+pub(crate) fn spp_cost(form: &SppForm, objective: Objective) -> u64 {
+    if objective == Objective::Literals {
+        return form.literal_count();
+    }
+    let mut cost = 0u64;
+    for term in form.terms() {
+        let cex = term.cex();
+        for factor in cex.factors() {
+            cost += 2 * u64::from(factor.literal_count()).saturating_sub(1);
+        }
+        cost += (cex.factors().len() as u64).saturating_sub(1);
+    }
+    cost + (form.num_pseudoproducts() as u64).saturating_sub(1)
 }
 
 /// AND-tree per cube plus a combine tree across cubes, with the combine
@@ -301,17 +301,19 @@ impl Minimizer<'_> {
     /// Races the configured forms and returns the cheapest *verified*
     /// realization under the portfolio's objective.
     ///
-    /// All entrants share this session's deadline, cancellation token and
-    /// memory budget; the byte account is reset before each form (like
-    /// the rung ladder) so one entrant's spike cannot disqualify the
-    /// next. Entrants run in [`Form::ALL`] order, each result is
-    /// verified against `f` under its own form semantics, and ties break
-    /// toward the earlier form — so a completed race returns the same
-    /// winner and cost at any thread count. [`Event::FormStarted`] /
-    /// [`Event::FormFinished`] trace the race; if every requested
-    /// entrant is excluded (memory-exceeded or unverified), a plain SOP
-    /// cover backstops the result exactly like the governed ladder's
-    /// bottom rung.
+    /// This is the ladder's plan executor with a different plan: every
+    /// entrant runs, and the cheapest accepted one wins. All entrants
+    /// share this session's deadline, cancellation token and memory
+    /// budget; the byte account is reset before each form so one
+    /// entrant's spike cannot disqualify the next. Entrants run in
+    /// [`Form::ALL`] order, each result is verified against `f` under its
+    /// own form semantics, and ties break toward the earlier form — so a
+    /// completed race returns the same winner and cost at any thread
+    /// count. [`spp_obs::Event::FormStarted`] /
+    /// [`spp_obs::Event::FormFinished`] trace the race (the SPP entrant's
+    /// rung events nest inside its own); if every requested entrant is
+    /// excluded (memory-exceeded or unverified), the SP minimum backstops
+    /// the race exactly as it backstops the ladder.
     ///
     /// ESOP, DSOP and SOP results of *complete* runs are cached per form
     /// when the session has a cache, so re-racing a function warms every
@@ -338,89 +340,46 @@ impl Minimizer<'_> {
     /// Panics if `f.num_vars() > 24` (the cube engines expand minterms).
     #[must_use]
     pub fn run_portfolio(&self, portfolio: &FormPortfolio) -> PortfolioResult {
-        let objective = portfolio.cost_objective();
-        let mut reports = Vec::new();
-        let mut best: Option<(FormRealization, u64, bool, Outcome, Rung)> = None;
-        for form in portfolio.entrants() {
-            self.ctx.governor().reset();
-            self.ctx.emit(Event::FormStarted { form });
-            let start = Instant::now();
-            let (realization, optimal, outcome, rung) = self.run_form(form);
-            let verified = realization.realizes(self.f);
-            let accepted = verified && outcome != Outcome::MemoryExceeded;
-            let cost = verified.then(|| realization.cost(objective));
-            self.ctx.emit(Event::FormFinished { form, outcome, cost, accepted });
-            reports.push(PortfolioReport {
-                form,
-                outcome,
-                cost,
-                wall: start.elapsed(),
-                accepted,
-            });
-            if accepted {
-                let c = cost.unwrap_or(u64::MAX);
-                // Strict `<`: ties stay with the earlier (canonical-order)
-                // form, which pins the winner at any thread count.
-                if best.as_ref().is_none_or(|(_, bc, _, _, _)| c < *bc) {
-                    best = Some((realization, c, optimal, outcome, rung));
-                }
-            }
-        }
-        if let Some((realization, cost, optimal, outcome, rung)) = best {
-            return PortfolioResult {
-                winner: realization.form(),
-                realization,
-                cost,
-                optimal,
-                outcome,
-                rung,
-                reports,
-            };
-        }
-        // Backstop: every entrant was excluded. A plain SP cover needs no
-        // pseudocube generation and is always a valid realization —
-        // identical in spirit to the governed ladder's bottom rung.
-        self.ctx.governor().reset();
-        self.ctx.emit(Event::FormStarted { form: Form::Sop });
-        let start = Instant::now();
-        let sp = spp_sp::minimize_sp(self.f, &self.options.cover_limits);
-        let outcome = self.ctx.stop_reason().unwrap_or_default();
-        let realization = FormRealization::Sop(sp.form);
-        let cost = realization.cost(objective);
-        self.ctx.emit(Event::FormFinished {
-            form: Form::Sop,
-            outcome,
-            cost: Some(cost),
-            accepted: true,
-        });
-        reports.push(PortfolioReport {
-            form: Form::Sop,
-            outcome,
-            cost: Some(cost),
-            wall: start.elapsed(),
-            accepted: true,
-        });
+        self.race(&portfolio.entrants(), portfolio.cost_objective(), |form| self.run_form(form))
+    }
+
+    /// The race plan: `entrants` in order, each run by `run`, the cheapest
+    /// accepted one winning under `objective`.
+    fn race(
+        &self,
+        entrants: &[Form],
+        objective: Objective,
+        mut run: impl FnMut(Form) -> FormRun,
+    ) -> PortfolioResult {
+        let pick = Pick::Cheapest(objective);
+        let (won, verdicts) = self.run_plan(entrants, pick, |form| Some(run(form)));
+        let reports = verdicts
+            .into_iter()
+            .map(|v| PortfolioReport {
+                form: v.lane,
+                outcome: v.outcome,
+                cost: v.cost,
+                wall: v.wall,
+                accepted: v.accepted,
+            })
+            .collect();
         PortfolioResult {
-            winner: Form::Sop,
-            realization,
-            cost,
-            // The backstop never proves optimality (and a *governed* SOP
-            // entrant that lost verification would not have either).
-            optimal: false,
-            outcome,
-            rung: Rung::Sop,
+            winner: won.realization.form(),
+            cost: won.realization.cost(objective),
+            realization: won.realization,
+            optimal: won.optimal,
+            outcome: won.outcome,
+            rung: won.rung,
             reports,
         }
     }
 
     /// Runs one entrant, going through the per-form cache for the cube
     /// forms (SPP results already flow through the result/EPPP caches
-    /// inside the rung ladder). Returns the realization, whether
-    /// optimality was proved, the outcome, and the rung the entrant
-    /// corresponds to on the degradation ladder.
-    fn run_form(&self, form: Form) -> (FormRealization, bool, Outcome, Rung) {
+    /// inside the rung ladder).
+    fn run_form(&self, form: Form) -> FormRun {
         let cube_rung = |optimal| if optimal { Rung::Exact } else { Rung::Heuristic };
-        match form {
+        let (realization, optimal, outcome, rung) = match form {
             Form::Spp => {
                 let r = self.run_governed();
                 (FormRealization::Spp(r.form), r.optimal, r.outcome, r.rung)
@@ -429,36 +388,40 @@ impl Minimizer<'_> {
                 if let Some((cubes, optimal)) = self.cached_cubes(Form::Esop) {
                     let form = EsopForm::new(self.f.num_vars(), cubes);
                     let rung = cube_rung(optimal);
-                    return (FormRealization::Esop(form), optimal, Outcome::Completed, rung);
+                    (FormRealization::Esop(form), optimal, Outcome::Completed, rung)
+                } else {
+                    let r = spp_esop::minimize_esop(self.f, &EsopLimits::default(), &self.ctx);
+                    self.store_cubes(Form::Esop, r.form.cubes(), r.optimal, r.outcome);
+                    let rung = cube_rung(r.optimal);
+                    (FormRealization::Esop(r.form), r.optimal, r.outcome, rung)
                 }
-                let r = spp_esop::minimize_esop(self.f, &EsopLimits::default(), &self.ctx);
-                self.store_cubes(Form::Esop, r.form.cubes(), r.optimal, r.outcome);
-                let rung = cube_rung(r.optimal);
-                (FormRealization::Esop(r.form), r.optimal, r.outcome, rung)
             }
             Form::Dsop => {
                 if let Some((cubes, optimal)) = self.cached_cubes(Form::Dsop) {
                     let form = DsopForm::new(self.f.num_vars(), cubes);
                     let rung = cube_rung(optimal);
-                    return (FormRealization::Dsop(form), optimal, Outcome::Completed, rung);
+                    (FormRealization::Dsop(form), optimal, Outcome::Completed, rung)
+                } else {
+                    let r =
+                        spp_dsop::minimize_dsop(self.f, &self.options.cover_limits, &self.ctx);
+                    self.store_cubes(Form::Dsop, r.form.cubes(), r.optimal, r.outcome);
+                    let rung = cube_rung(r.optimal);
+                    (FormRealization::Dsop(r.form), r.optimal, r.outcome, rung)
                 }
-                let r =
-                    spp_dsop::minimize_dsop(self.f, &self.options.cover_limits, &self.ctx);
-                self.store_cubes(Form::Dsop, r.form.cubes(), r.optimal, r.outcome);
-                let rung = cube_rung(r.optimal);
-                (FormRealization::Dsop(r.form), r.optimal, r.outcome, rung)
             }
             Form::Sop => {
                 if let Some((cubes, optimal)) = self.cached_cubes(Form::Sop) {
                     let form = SpForm::new(self.f.num_vars(), cubes);
-                    return (FormRealization::Sop(form), optimal, Outcome::Completed, Rung::Sop);
+                    (FormRealization::Sop(form), optimal, Outcome::Completed, Rung::Sop)
+                } else {
+                    let sp = sp_minimum(self.f, &self.options.cover_limits);
+                    let outcome = self.ctx.stop_reason().unwrap_or_default();
+                    self.store_cubes(Form::Sop, sp.form.cubes(), sp.optimal, outcome);
+                    (FormRealization::Sop(sp.form), sp.optimal, outcome, Rung::Sop)
                 }
-                let sp = spp_sp::minimize_sp(self.f, &self.options.cover_limits);
-                let outcome = self.ctx.stop_reason().unwrap_or_default();
-                self.store_cubes(Form::Sop, sp.form.cubes(), sp.optimal, outcome);
-                (FormRealization::Sop(sp.form), sp.optimal, outcome, Rung::Sop)
             }
-        }
+        };
+        FormRun { realization, optimal, outcome, rung }
     }
 
     fn cached_cubes(&self, form: Form) -> Option<(Vec<spp_boolfn::Cube>, bool)> {
@@ -481,6 +444,36 @@ impl Minimizer<'_> {
         if let Some(cache) = &self.cache {
             cache.put_form_cubes(self.f, form, &self.options, cubes, optimal, &self.ctx);
         }
+    }
+}
+
+/// One race entrant's run: its realization, whether its engine proved
+/// optimality, how it ended, and the ladder rung it corresponds to.
+struct FormRun {
+    realization: FormRealization,
+    optimal: bool,
+    outcome: Outcome,
+    rung: Rung,
+}
+
+impl Attempt for FormRun {
+    fn outcome(&self) -> Outcome {
+        self.outcome
+    }
+
+    fn realizes(&self, f: &BoolFn) -> bool {
+        self.realization.realizes(f)
+    }
+
+    fn cost(&self, objective: Objective) -> u64 {
+        self.realization.cost(objective)
+    }
+
+    fn backstop(sp: SpMinResult, outcome: Outcome, _elapsed: Duration, _ctx: &RunCtx) -> Self {
+        // The backstop never proves optimality (and a *governed* SOP
+        // entrant that lost verification would not have either).
+        let realization = FormRealization::Sop(sp.form);
+        FormRun { realization, optimal: false, outcome, rung: Rung::Sop }
     }
 }
 
@@ -604,6 +597,49 @@ mod tests {
             ]
         );
         assert_eq!((r.winner, r.cost, r.rung), (Form::Esop, 37, Rung::Heuristic));
+    }
+
+    #[test]
+    fn race_with_no_verifiable_entrant_falls_back_to_the_sop_backstop() {
+        // Real engines always verify, so fake entrants hand the race empty
+        // forms: each computes the constant 0, never `f`.
+        let f = BoolFn::from_truth_fn(4, |x| x % 3 == 1);
+        let buf = Buf::default();
+        let m = Minimizer::new(&f).on_event(Arc::new(JsonLinesSink::new(buf.clone())));
+        let r = m.race(&[Form::Esop, Form::Dsop], Objective::Literals, |form| FormRun {
+            realization: match form {
+                Form::Esop => FormRealization::Esop(EsopForm::new(4, Vec::new())),
+                _ => FormRealization::Dsop(DsopForm::new(4, Vec::new())),
+            },
+            optimal: true,
+            outcome: Outcome::Completed,
+            rung: Rung::Exact,
+        });
+        let ran: Vec<(Form, Option<u64>, bool)> =
+            r.reports.iter().map(|rep| (rep.form, rep.cost, rep.accepted)).collect();
+        assert_eq!(
+            ran,
+            [(Form::Esop, None, false), (Form::Dsop, None, false), (Form::Sop, Some(r.cost), true)]
+        );
+        assert_eq!((r.winner, r.optimal, r.rung), (Form::Sop, false, Rung::Sop));
+        assert_eq!(r.outcome, Outcome::Completed);
+        assert!(r.realization.realizes(&f));
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let sop_finished = format!(
+            r#"{{"event":"form_finished","form":"sop","outcome":"completed","cost":{},"accepted":true}}"#,
+            r.cost
+        );
+        assert_eq!(
+            text.lines().collect::<Vec<_>>(),
+            [
+                r#"{"event":"form_started","form":"esop"}"#,
+                r#"{"event":"form_finished","form":"esop","outcome":"completed","cost":null,"accepted":false}"#,
+                r#"{"event":"form_started","form":"dsop"}"#,
+                r#"{"event":"form_finished","form":"dsop","outcome":"completed","cost":null,"accepted":false}"#,
+                r#"{"event":"form_started","form":"sop"}"#,
+                sop_finished.as_str(),
+            ]
+        );
     }
 
     #[test]

@@ -23,9 +23,10 @@ use spp_boolfn::BoolFn;
 use spp_obs::json::Json;
 use spp_obs::{CancelToken, EventSink, Form, Outcome, Rung};
 
+use crate::minimize::sp_minimum;
 use crate::{
     FormPortfolio, FormRealization, Grouping, Minimizer, MultiMinimizer, Objective,
-    PortfolioReport, Pseudocube, SppCache, SppError, SppForm, SppOptions,
+    PortfolioReport, SppCache, SppError, SppForm, SppMinResult, SppOptions,
 };
 
 /// Version tag of the request/response JSON schema.
@@ -987,31 +988,24 @@ pub fn execute_fns(
     }
     let start = Instant::now();
     let deadline = env.effective_deadline(req);
-    let (mem_soft, mem_hard) = env.effective_mem(req);
-    let label_of =
-        |j: usize| labels.get(j).cloned().unwrap_or_else(|| format!("y{j}"));
+    let mem = env.effective_mem(req);
+    let frame = |e: SppError| ErrorFrame::from(e).with_id(req.id.clone());
 
     // A run-control stop (deadline, cancellation, memory) can truncate a
     // form mid-search. The SP bottom rung is always realizable and needs
     // no pseudocube generation, so a stopped request still answers with a
     // verified best-so-far form — the drain contract of `spp serve`.
-    fn sop_fallback(f: &BoolFn) -> SppForm {
-        let sp = spp_sp::minimize_sp(f, &SppOptions::default().cover_limits);
-        SppForm::new(
-            f.num_vars(),
-            sp.form.cubes().iter().map(Pseudocube::from_cube).collect(),
-        )
-    }
+    let sop_fallback =
+        |f: &BoolFn| SppForm::from_sp(&sp_minimum(f, &SppOptions::default().cover_limits).form);
 
-    fn configure_generic<'f>(
-        m: Minimizer<'f>,
+    fn configure_generic<'f, F: ?Sized>(
+        mut m: Minimizer<'f, F>,
         req: &MinimizeRequest,
         env: &ExecEnv,
         deadline: Option<Instant>,
-        mem_soft: Option<u64>,
-        mem_hard: Option<u64>,
-    ) -> Minimizer<'f> {
-        let mut m = m.grouping(req.grouping);
+        (mem_soft, mem_hard): (Option<u64>, Option<u64>),
+    ) -> Minimizer<'f, F> {
+        m = m.grouping(req.grouping);
         if let Some(t) = req.threads.or(env.threads_default) {
             m = m.threads(t);
         }
@@ -1033,61 +1027,17 @@ pub fn execute_fns(
         m
     }
 
-    if matches!(req.mode, MinimizeMode::Portfolio) && !(req.multi && outputs.len() > 1) {
-        let portfolio =
-            FormPortfolio::new().forms(req.forms.clone()).objective(req.objective);
-        let mut realizations = Vec::with_capacity(outputs.len());
-        let mut reports = Vec::with_capacity(outputs.len());
-        let mut per_output = Vec::with_capacity(outputs.len());
-        let mut outcome = Outcome::Completed;
-        let mut rung = Rung::Exact;
-        let mut optimal = true;
-        let mut verified = true;
-        for (j, f) in outputs.iter().enumerate() {
-            let r = configure_generic(Minimizer::new(f), req, env, deadline, mem_soft, mem_hard)
-                .run_portfolio(&portfolio);
-            outcome = outcome.merge(r.outcome);
-            rung = rung.max(r.rung);
-            optimal &= r.optimal;
-            verified &= r.realization.realizes(f);
-            reports.push(OutputReport {
-                label: label_of(j),
-                literals: r.realization.literal_count(),
-                terms: r.realization.num_terms(),
-                form: r.realization.to_string(),
-            });
-            per_output.push(r.reports);
-            realizations.push(r.realization);
-        }
-        let form_reports = aggregate_form_reports(&per_output);
-        // The aggregate winner: cheapest summed cost among forms accepted
-        // for every output; `min_by_key` keeps the first of equal minima,
-        // so ties break toward the canonical-order earlier form.
-        let winner = form_reports
-            .iter()
-            .filter(|r| r.accepted)
-            .min_by_key(|r| r.cost.unwrap_or(u64::MAX))
-            .map(|r| r.form);
-        return Ok(Executed {
-            response: MinimizeResponse {
-                v: SCHEMA_VERSION,
-                id: req.id.clone(),
-                outputs: reports,
-                outcome,
-                rung,
-                optimal,
-                verified,
-                shared_literals: None,
-                shared_terms: None,
-                winner,
-                forms: Some(form_reports),
-                wall: start.elapsed(),
-            },
-            forms: Vec::new(),
-            realizations,
-        });
-    }
-
+    // Shared multi-output runs cover all outputs at once; every other
+    // request runs one session per output. Portfolio runs race the forms,
+    // every other mode yields an SPP form, which is also kept in `forms`.
+    let race = FormPortfolio::new().forms(req.forms.clone()).objective(req.objective);
+    let mut forms = Vec::new();
+    let mut realizations = Vec::with_capacity(outputs.len());
+    let mut scoreboards = Vec::new();
+    let mut shared = None;
+    let mut outcome = Outcome::Completed;
+    let mut rung = Rung::Exact;
+    let mut optimal = true;
     if req.multi && outputs.len() > 1 {
         if req.mode != MinimizeMode::Exact {
             return Err(fail(
@@ -1098,32 +1048,12 @@ pub fn execute_fns(
                 ),
             ));
         }
-        let mut m = MultiMinimizer::new(outputs).grouping(req.grouping);
-        if let Some(t) = req.threads.or(env.threads_default) {
-            m = m.threads(t);
-        }
-        if let Some(at) = deadline {
-            m = m.deadline(at.saturating_duration_since(Instant::now()));
-        }
-        if mem_soft.is_some() || mem_hard.is_some() {
-            m = m.mem_budget(mem_soft, mem_hard);
-        }
-        if let Some(token) = &env.cancel {
-            m = m.cancel_token(token.clone());
-        }
-        if let Some(sink) = &env.sink {
-            m = m.on_event(sink.clone());
-        }
-        if let Some(cache) = &env.cache {
-            m = m.cache(cache.clone());
-        }
-        let r = m.run().map_err(|e| ErrorFrame::from(e).with_id(req.id.clone()))?;
-        let mut forms = r.forms;
-        let mut rung = Rung::Exact;
-        let mut optimal = r.optimal;
-        let mut shared_literals = r.shared_literal_count;
-        let mut shared_terms = r.shared_terms.len();
-        if r.outcome != Outcome::Completed {
+        let r = configure_generic(MultiMinimizer::new(outputs), req, env, deadline, mem)
+            .run()
+            .map_err(frame)?;
+        (outcome, optimal, forms) = (r.outcome, r.optimal, r.forms);
+        shared = Some((r.shared_literal_count, r.shared_terms.len()));
+        if outcome != Outcome::Completed {
             for (form, f) in forms.iter_mut().zip(outputs) {
                 if form.check_realizes(f).is_err() {
                     *form = sop_fallback(f);
@@ -1135,101 +1065,74 @@ pub fn execute_fns(
                 // The shared accounting no longer describes the emitted
                 // forms once any output fell back; report the plain
                 // (unshared) sums instead.
-                shared_literals = forms.iter().map(SppForm::literal_count).sum();
-                shared_terms = forms.iter().map(SppForm::num_pseudoproducts).sum();
+                shared = Some((
+                    forms.iter().map(SppForm::literal_count).sum(),
+                    forms.iter().map(SppForm::num_pseudoproducts).sum(),
+                ));
             }
         }
-        let verified = forms
-            .iter()
-            .zip(outputs)
-            .all(|(form, f)| form.check_realizes(f).is_ok());
-        let reports = forms
-            .iter()
-            .enumerate()
-            .map(|(j, form)| OutputReport {
-                label: label_of(j),
-                literals: form.literal_count(),
-                terms: form.num_pseudoproducts(),
-                form: form.to_string(),
-            })
-            .collect();
-        let realizations = forms.iter().cloned().map(FormRealization::Spp).collect();
-        return Ok(Executed {
-            response: MinimizeResponse {
-                v: SCHEMA_VERSION,
-                id: req.id.clone(),
-                outputs: reports,
-                outcome: r.outcome,
-                rung,
-                optimal,
-                verified,
-                shared_literals: Some(shared_literals),
-                shared_terms: Some(shared_terms),
-                winner: None,
-                forms: None,
-                wall: start.elapsed(),
-            },
-            forms,
-            realizations,
-        });
-    }
-
-    let mut forms = Vec::with_capacity(outputs.len());
-    let mut reports = Vec::with_capacity(outputs.len());
-    let mut outcome = Outcome::Completed;
-    let mut rung = Rung::Exact;
-    let mut optimal = true;
-    let mut verified = true;
-    for (j, f) in outputs.iter().enumerate() {
-        let mut r = match req.mode {
-            MinimizeMode::Exact => configure_generic(Minimizer::new(f), req, env, deadline, mem_soft, mem_hard).run_exact(),
-            MinimizeMode::Governed => configure_generic(Minimizer::new(f), req, env, deadline, mem_soft, mem_hard).run_governed(),
-            MinimizeMode::Heuristic(k) => configure_generic(Minimizer::new(f), req, env, deadline, mem_soft, mem_hard)
-                .run_heuristic(k)
-                .map_err(|e| ErrorFrame::from(e).with_id(req.id.clone()))?,
-            MinimizeMode::Restricted(w) => configure_generic(Minimizer::new(f), req, env, deadline, mem_soft, mem_hard)
-                .run_restricted(w)
-                .map_err(|e| ErrorFrame::from(e).with_id(req.id.clone()))?,
-            MinimizeMode::Sop => {
-                let sp = spp_sp::minimize_sp(f, &SppOptions::default().cover_limits);
-                let form = SppForm::new(
-                    f.num_vars(),
-                    sp.form.cubes().iter().map(Pseudocube::from_cube).collect(),
-                );
-                crate::SppMinResult {
-                    num_candidates: form.num_pseudoproducts(),
-                    form,
-                    optimal: false,
-                    gen_stats: crate::GenStats::default(),
-                    gen_elapsed: Duration::ZERO,
-                    cover_elapsed: Duration::ZERO,
-                    outcome: Outcome::Completed,
-                    rung: Rung::Sop,
-                    faults: Vec::new(),
+        realizations = forms.iter().cloned().map(FormRealization::Spp).collect();
+    } else {
+        for f in outputs {
+            let m = configure_generic(Minimizer::new(f), req, env, deadline, mem);
+            let spp = match req.mode {
+                MinimizeMode::Portfolio => None,
+                MinimizeMode::Exact => Some(m.run_exact()),
+                MinimizeMode::Governed => Some(m.run_governed()),
+                MinimizeMode::Heuristic(k) => Some(m.run_heuristic(k).map_err(frame)?),
+                MinimizeMode::Restricted(w) => Some(m.run_restricted(w).map_err(frame)?),
+                MinimizeMode::Sop => {
+                    let sp = sp_minimum(f, &m.options.cover_limits);
+                    Some(SppMinResult::from_sp(&sp.form, Outcome::Completed))
                 }
-            }
-            // Handled by the dedicated branch above (or rejected as
-            // multi + non-exact before reaching this loop).
-            MinimizeMode::Portfolio => unreachable!("portfolio handled above"),
-        };
-        if r.outcome != Outcome::Completed && r.form.check_realizes(f).is_err() {
-            r.form = sop_fallback(f);
-            r.rung = Rung::Sop;
-            r.optimal = false;
+            };
+            let (realization, r_outcome, r_rung, r_optimal) = match spp {
+                Some(mut r) => {
+                    if r.outcome != Outcome::Completed && r.form.check_realizes(f).is_err() {
+                        r.form = sop_fallback(f);
+                        r.rung = Rung::Sop;
+                        r.optimal = false;
+                    }
+                    forms.push(r.form.clone());
+                    (FormRealization::Spp(r.form), r.outcome, r.rung, r.optimal)
+                }
+                None => {
+                    let r = m.run_portfolio(&race);
+                    scoreboards.push(r.reports);
+                    (r.realization, r.outcome, r.rung, r.optimal)
+                }
+            };
+            outcome = outcome.merge(r_outcome);
+            rung = rung.max(r_rung);
+            optimal &= r_optimal;
+            realizations.push(realization);
         }
-        outcome = outcome.merge(r.outcome);
-        rung = rung.max(r.rung);
-        optimal &= r.optimal;
-        verified &= r.form.check_realizes(f).is_ok();
-        reports.push(OutputReport {
-            label: label_of(j),
-            literals: r.form.literal_count(),
-            terms: r.form.num_pseudoproducts(),
-            form: r.form.to_string(),
-        });
-        forms.push(r.form);
     }
-    let realizations = forms.iter().cloned().map(FormRealization::Spp).collect();
+    let verified = realizations.iter().zip(outputs).all(|(r, f)| r.realizes(f));
+    let reports = realizations
+        .iter()
+        .enumerate()
+        .map(|(j, r)| OutputReport {
+            label: labels.get(j).cloned().unwrap_or_else(|| format!("y{j}")),
+            literals: r.literal_count(),
+            terms: r.num_terms(),
+            form: r.to_string(),
+        })
+        .collect();
+    let (winner, form_reports) = if req.mode == MinimizeMode::Portfolio {
+        let form_reports = aggregate_form_reports(&scoreboards);
+        // The aggregate winner: cheapest summed cost among forms accepted
+        // for every output; `min_by_key` keeps the first of equal minima,
+        // so ties break toward the canonical-order earlier form.
+        let winner = form_reports
+            .iter()
+            .filter(|r| r.accepted)
+            .min_by_key(|r| r.cost.unwrap_or(u64::MAX))
+            .map(|r| r.form);
+        (winner, Some(form_reports))
+    } else {
+        (None, None)
+    };
     Ok(Executed {
         response: MinimizeResponse {
             v: SCHEMA_VERSION,
@@ -1239,10 +1142,10 @@ pub fn execute_fns(
             rung,
             optimal,
             verified,
-            shared_literals: None,
-            shared_terms: None,
-            winner: None,
-            forms: None,
+            shared_literals: shared.map(|(literals, _)| literals),
+            shared_terms: shared.map(|(_, terms)| terms),
+            winner,
+            forms: form_reports,
             wall: start.elapsed(),
         },
         forms,

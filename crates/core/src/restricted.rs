@@ -15,8 +15,8 @@ use spp_boolfn::BoolFn;
 use spp_obs::{Event, Phase, RunCtx, Rung};
 
 use crate::generate::generate_eppp_session;
-use crate::minimize::cover_with_candidates;
-use crate::{GenLimits, Grouping, Pseudocube, SppError, SppMinResult, SppOptions};
+use crate::minimize::{cover_with_candidates, sp_minimum};
+use crate::{GenLimits, Grouping, Pseudocube, SppError, SppForm, SppMinResult, SppOptions};
 
 /// Whether every EXOR factor of the canonical expression of `pc` has at
 /// most `max_literals` literals.
@@ -127,12 +127,9 @@ pub(crate) fn restricted_session(
     outcome = outcome.merge(cover_outcome);
     if eppp.stats.truncated {
         // As in the unrestricted minimizer: never return worse than SP.
-        let sp = spp_sp::minimize_sp(f, &options.cover_limits);
+        let sp = sp_minimum(f, &options.cover_limits);
         if sp.form.literal_count() < form.literal_count() {
-            form = crate::SppForm::new(
-                f.num_vars(),
-                sp.form.cubes().iter().map(Pseudocube::from_cube).collect(),
-            );
+            form = SppForm::from_sp(&sp.form);
         }
     }
     let cover_elapsed = cover_start.elapsed();

@@ -1,40 +1,49 @@
-//! The unified builder-style session API: [`Minimizer`] and
-//! [`MultiMinimizer`].
+//! The unified builder-style session API, [`Minimizer`], and the plan
+//! executor behind its governed and racing runs.
 //!
-//! Every minimization entry point of the workspace funnels through one of
-//! these two builders, which own the algorithm configuration
-//! ([`SppOptions`]) *and* the run control ([`RunCtx`]: deadline,
-//! cancellation, progress events). The serve daemon and the CLI reach
-//! them through the transport-neutral [`crate::MinimizeRequest`] /
-//! [`crate::MinimizeResponse`] pair, which is a thin layer over these
-//! same sessions.
+//! Every minimization entry point of the workspace funnels through one
+//! builder, which owns the algorithm configuration ([`SppOptions`]) *and*
+//! the run control ([`RunCtx`]: deadline, cancellation, progress events).
+//! It is generic over its input: `Minimizer<BoolFn>` runs one output,
+//! [`MultiMinimizer`] (`Minimizer<[BoolFn]>`) shares terms across many.
+//! The serve daemon and the CLI reach them through the transport-neutral
+//! [`crate::MinimizeRequest`] / [`crate::MinimizeResponse`] pair, which is
+//! a thin layer over these same sessions.
+//!
+//! The degradation ladder ([`Minimizer::run_governed`]) and the form race
+//! ([`Minimizer::run_portfolio`]) are one *plan* each: an ordered list of
+//! entrants plus a selection rule (first accepted, or cheapest accepted),
+//! run by one executor that resets the byte account per entrant,
+//! traces it, verifies its result, excludes it on memory exhaustion or a
+//! failed check, and backstops an all-excluded plan with the SP minimum.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spp_boolfn::{BoolFn, Cube};
-use spp_obs::{CancelToken, Event, EventSink, Outcome, RunCtx, Rung};
+use spp_obs::{CancelToken, Event, EventSink, Form, Outcome, RunCtx, Rung};
 use spp_par::Parallelism;
+use spp_sp::SpMinResult;
 
 use crate::generate::generate_eppp_session;
 use crate::heuristic::{heuristic_from_cover_session, heuristic_session};
-use crate::minimize::exact_session_cached;
+use crate::minimize::{exact_session_cached, sp_minimum};
 use crate::multi::multi_session_cached;
 use crate::restricted::restricted_session;
 use crate::{
-    EpppSet, GenLimits, GenStats, Grouping, MultiSppResult, Pseudocube, SppCache, SppError,
-    SppForm, SppMinResult, SppOptions,
+    EpppSet, GenLimits, Grouping, MultiSppResult, Objective, Pseudocube, SppCache, SppError,
+    SppMinResult, SppOptions,
 };
 
-/// A configured single-output minimization session — the front door of the
-/// crate.
+/// A configured minimization session — the front door of the crate.
 ///
 /// Build one per run: algorithm knobs (`grouping`, `limits`,
 /// `cover_limits`, `threads`) and run control (`deadline`, `cancel_token`,
 /// `on_event`) chain fluently, then one of the `run_*` / `generate`
 /// methods executes. On deadline or cancellation every phase unwinds to a
 /// valid best-so-far form and the cause is recorded in the result's
-/// `outcome`.
+/// `outcome`. The input `F` is one function (the default) or a slice of
+/// outputs ([`MultiMinimizer`]); the builder is the same for both.
 ///
 /// # Examples
 ///
@@ -52,18 +61,48 @@ use crate::{
 /// assert_eq!(r.outcome, Outcome::Completed);
 /// assert_eq!(r.literal_count(), 4);
 /// ```
-#[derive(Clone, Debug)]
-pub struct Minimizer<'f> {
-    pub(crate) f: &'f BoolFn,
+#[derive(Debug)]
+pub struct Minimizer<'f, F: ?Sized = BoolFn> {
+    pub(crate) f: &'f F,
     pub(crate) options: SppOptions,
     pub(crate) ctx: RunCtx,
     pub(crate) cache: Option<SppCache>,
 }
 
-impl<'f> Minimizer<'f> {
+/// A configured multi-output minimization session: per-output EPPP
+/// generation plus one shared covering problem in which each chosen
+/// pseudoproduct's literals are paid once.
+///
+/// # Examples
+///
+/// ```
+/// use spp_boolfn::BoolFn;
+/// use spp_core::MultiMinimizer;
+///
+/// let f0 = BoolFn::from_truth_fn(3, |x| (x ^ (x >> 1)) & 1 == 1);
+/// let f1 = BoolFn::from_truth_fn(3, |x| (x ^ (x >> 1)) & 1 == 1 && x & 0b100 != 0);
+/// let r = MultiMinimizer::new(&[f0.clone(), f1.clone()]).run().unwrap();
+/// assert!(r.forms[0].check_realizes(&f0).is_ok());
+/// assert!(r.shared_literal_count <= r.separate_literal_count());
+/// ```
+pub type MultiMinimizer<'f> = Minimizer<'f, [BoolFn]>;
+
+// Not derived: a derive would demand `F: Clone`, which `[BoolFn]` is not.
+impl<F: ?Sized> Clone for Minimizer<'_, F> {
+    fn clone(&self) -> Self {
+        Minimizer {
+            f: self.f,
+            options: self.options.clone(),
+            ctx: self.ctx.clone(),
+            cache: self.cache.clone(),
+        }
+    }
+}
+
+impl<'f, F: ?Sized> Minimizer<'f, F> {
     /// Starts a session on `f` with default options and no run control.
     #[must_use]
-    pub fn new(f: &'f BoolFn) -> Self {
+    pub fn new(f: &'f F) -> Self {
         Minimizer { f, options: SppOptions::default(), ctx: RunCtx::default(), cache: None }
     }
 
@@ -95,7 +134,7 @@ impl<'f> Minimizer<'f> {
         self
     }
 
-    /// Caps the whole run (all phases together) to `budget` from now.
+    /// Caps the whole run (all outputs, all phases) to `budget` from now.
     /// Tighter per-phase `time_limit`s still apply.
     #[must_use]
     pub fn deadline(self, budget: Duration) -> Self {
@@ -137,7 +176,7 @@ impl<'f> Minimizer<'f> {
     /// truncates, the covering step skips its exact refinement); a blown
     /// `hard` budget stops phases like a deadline, with
     /// [`Outcome::MemoryExceeded`] — and makes
-    /// [`run_governed`](Self::run_governed) descend the ladder.
+    /// [`run_governed`](Minimizer::run_governed) descend the ladder.
     #[must_use]
     pub fn mem_budget(mut self, soft: Option<u64>, hard: Option<u64>) -> Self {
         self.ctx = self.ctx.with_mem_budget(soft, hard);
@@ -153,14 +192,17 @@ impl<'f> Minimizer<'f> {
 
     /// Attaches a cross-call result cache (see [`SppCache`]): a verified
     /// result hit skips both phases, a cached EPPP set skips generation,
-    /// and sibling results warm-start the covering search. Clones of one
-    /// cache share a store, so many sessions can feed each other.
+    /// and sibling results warm-start the covering search; a multi-output
+    /// run hits on the whole circuit or per output. Clones of one cache
+    /// share a store, so many sessions can feed each other.
     #[must_use]
     pub fn cache(mut self, cache: SppCache) -> Self {
         self.cache = Some(cache);
         self
     }
+}
 
+impl Minimizer<'_> {
     /// The configured run-control context (for composing with the lower
     /// level `spp_cover` API).
     #[must_use]
@@ -271,7 +313,7 @@ impl<'f> Minimizer<'f> {
     /// space) → **heuristic** (`SPP_0`, Algorithm 3) → **SP fallback**
     /// (cubes only — always within reach).
     ///
-    /// Each rung runs under the session's [`mem_budget`](Self::mem_budget)
+    /// Each rung runs under the session's [`mem_budget`](Minimizer::mem_budget)
     /// with the byte account reset first, and its result is independently
     /// verified against `f`. The first rung that verifies *and* stays
     /// within the hard budget is the answer; a rung ending with
@@ -286,188 +328,86 @@ impl<'f> Minimizer<'f> {
     /// [`run_exact`](Self::run_exact) plus ladder events.
     #[must_use]
     pub fn run_governed(&self) -> SppMinResult {
-        for rung in [Rung::Exact, Rung::RestrictedExact, Rung::Heuristic] {
-            self.ctx.governor().reset();
-            self.ctx.emit(Event::RungStarted { rung });
-            let result = match rung {
-                Rung::Exact => Some(exact_session_cached(
-                    self.f,
-                    &self.options,
-                    &self.ctx,
-                    self.cache.as_ref(),
-                )),
-                Rung::RestrictedExact => {
-                    restricted_session(self.f, 2, &self.options, &self.ctx).ok()
-                }
-                _ => heuristic_session(self.f, 0, &self.options, &self.ctx).ok(),
-            };
-            let Some(mut r) = result else {
-                // Unreachable for these fixed parameters; descend anyway.
-                self.ctx.emit(Event::RungFinished {
-                    rung,
-                    outcome: Outcome::Completed,
-                    accepted: false,
-                });
-                continue;
-            };
-            let verified = r.form.check_realizes(self.f).is_ok();
-            let accepted = verified && r.outcome != Outcome::MemoryExceeded;
-            self.ctx.emit(Event::RungFinished { rung, outcome: r.outcome, accepted });
-            if accepted {
-                r.rung = rung;
-                r.faults = self.ctx.faults();
-                if rung != Rung::Exact {
-                    if let Some(cache) = &self.cache {
-                        cache.put_warm_form(self.f, rung, r.form.terms(), &self.ctx);
-                    }
-                }
-                return r;
+        let rungs = [Rung::Exact, Rung::RestrictedExact, Rung::Heuristic];
+        let (r, _) = self.run_plan(&rungs, Pick::First, |rung| match rung {
+            Rung::Exact => Some(self.run_exact()),
+            Rung::RestrictedExact => {
+                restricted_session(self.f, 2, &self.options, &self.ctx).ok()
+            }
+            _ => heuristic_session(self.f, 0, &self.options, &self.ctx).ok(),
+        });
+        if matches!(r.rung, Rung::RestrictedExact | Rung::Heuristic) {
+            if let Some(cache) = &self.cache {
+                cache.put_warm_form(self.f, r.rung, r.form.terms(), &self.ctx);
             }
         }
-        // Bottom rung: the SP minimum is always a valid SPP form and
-        // needs no pseudocube generation at all.
+        r
+    }
+
+    /// The plan executor: runs `entrants` in order, each after a governor
+    /// reset and between its started/finished events, and verifies each
+    /// result under its own semantics. An entrant that ends in
+    /// [`Outcome::MemoryExceeded`], fails verification or cannot run at
+    /// all (`None`) is excluded; `pick` chooses among the rest. When every
+    /// entrant is excluded, the SP minimum answers as the backstop entrant
+    /// [`Lane::SOP`] — never optimal, with the outcome of the run control.
+    /// Returns the answer and one verdict per entrant that ran, in order.
+    pub(crate) fn run_plan<L: Lane, A: Attempt>(
+        &self,
+        entrants: &[L],
+        pick: Pick,
+        mut run: impl FnMut(L) -> Option<A>,
+    ) -> (A, Vec<Verdict<L>>) {
+        let mut verdicts = Vec::with_capacity(entrants.len() + 1);
+        let mut best: Option<(A, u64)> = None;
+        for &lane in entrants {
+            self.ctx.governor().reset();
+            self.ctx.emit(lane.started());
+            let start = Instant::now();
+            let attempt = run(lane);
+            let outcome = attempt.as_ref().map_or(Outcome::Completed, Attempt::outcome);
+            let verified = attempt.as_ref().is_some_and(|a| a.realizes(self.f));
+            let accepted = verified && outcome != Outcome::MemoryExceeded;
+            let cost = match (pick, &attempt) {
+                (Pick::Cheapest(objective), Some(a)) if verified => Some(a.cost(objective)),
+                _ => None,
+            };
+            self.ctx.emit(lane.finished(outcome, cost, accepted));
+            verdicts.push(Verdict { lane, outcome, cost, wall: start.elapsed(), accepted });
+            let Some(a) = attempt.filter(|_| accepted) else { continue };
+            if pick == Pick::First {
+                return (a, verdicts);
+            }
+            // Strict `<`: ties stay with the earlier entrant, which pins
+            // the answer at any thread count.
+            let c = cost.unwrap_or(u64::MAX);
+            if best.as_ref().is_none_or(|(_, bc)| c < *bc) {
+                best = Some((a, c));
+            }
+        }
+        if let Some((a, _)) = best {
+            return (a, verdicts);
+        }
+        // Backstop: the SP minimum is always a valid answer and needs no
+        // pseudocube generation at all.
         self.ctx.governor().reset();
-        self.ctx.emit(Event::RungStarted { rung: Rung::Sop });
+        self.ctx.emit(L::SOP.started());
         let start = Instant::now();
-        let sp = spp_sp::minimize_sp(self.f, &self.options.cover_limits);
-        let form = SppForm::new(
-            self.f.num_vars(),
-            sp.form.cubes().iter().map(Pseudocube::from_cube).collect(),
-        );
+        let sp = sp_minimum(self.f, &self.options.cover_limits);
         let outcome = self.ctx.stop_reason().unwrap_or_default();
-        self.ctx.emit(Event::RungFinished { rung: Rung::Sop, outcome, accepted: true });
-        SppMinResult {
-            num_candidates: form.num_pseudoproducts(),
-            form,
-            // An SP form is an upper bound on the minimal SPP form.
-            optimal: false,
-            gen_stats: GenStats::default(),
-            gen_elapsed: start.elapsed(),
-            cover_elapsed: Duration::ZERO,
-            outcome,
-            rung: Rung::Sop,
-            faults: self.ctx.faults(),
-        }
+        let a = A::backstop(sp, outcome, start.elapsed(), &self.ctx);
+        let cost = match pick {
+            Pick::Cheapest(objective) => Some(a.cost(objective)),
+            Pick::First => None,
+        };
+        self.ctx.emit(L::SOP.finished(outcome, cost, true));
+        let wall = start.elapsed();
+        verdicts.push(Verdict { lane: L::SOP, outcome, cost, wall, accepted: true });
+        (a, verdicts)
     }
 }
 
-/// A configured multi-output minimization session: per-output EPPP
-/// generation plus one shared covering problem in which each chosen
-/// pseudoproduct's literals are paid once.
-///
-/// # Examples
-///
-/// ```
-/// use spp_boolfn::BoolFn;
-/// use spp_core::MultiMinimizer;
-///
-/// let f0 = BoolFn::from_truth_fn(3, |x| (x ^ (x >> 1)) & 1 == 1);
-/// let f1 = BoolFn::from_truth_fn(3, |x| (x ^ (x >> 1)) & 1 == 1 && x & 0b100 != 0);
-/// let r = MultiMinimizer::new(&[f0.clone(), f1.clone()]).run().unwrap();
-/// assert!(r.forms[0].check_realizes(&f0).is_ok());
-/// assert!(r.shared_literal_count <= r.separate_literal_count());
-/// ```
-#[derive(Clone, Debug)]
-pub struct MultiMinimizer<'f> {
-    outputs: &'f [BoolFn],
-    options: SppOptions,
-    ctx: RunCtx,
-    cache: Option<SppCache>,
-}
-
-impl<'f> MultiMinimizer<'f> {
-    /// Starts a session on `outputs` with default options and no run
-    /// control.
-    #[must_use]
-    pub fn new(outputs: &'f [BoolFn]) -> Self {
-        MultiMinimizer {
-            outputs,
-            options: SppOptions::default(),
-            ctx: RunCtx::default(),
-            cache: None,
-        }
-    }
-
-    /// Replaces the whole option block at once.
-    #[must_use]
-    pub fn options(mut self, options: SppOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Sets the structure-grouping strategy for candidate generation.
-    #[must_use]
-    pub fn grouping(mut self, grouping: Grouping) -> Self {
-        self.options.grouping = grouping;
-        self
-    }
-
-    /// Sets the generation budget.
-    #[must_use]
-    pub fn limits(mut self, limits: GenLimits) -> Self {
-        self.options.gen_limits = limits;
-        self
-    }
-
-    /// Sets the covering budget.
-    #[must_use]
-    pub fn cover_limits(mut self, limits: spp_cover::Limits) -> Self {
-        self.options.cover_limits = limits;
-        self
-    }
-
-    /// Caps the whole run (all outputs, all phases) to `budget` from now.
-    #[must_use]
-    pub fn deadline(mut self, budget: Duration) -> Self {
-        self.ctx = self.ctx.cap_deadline(Some(Instant::now() + budget));
-        self
-    }
-
-    /// Uses exactly `n` worker threads.
-    #[must_use]
-    pub fn threads(mut self, n: usize) -> Self {
-        self.options.gen_limits.parallelism = Parallelism::fixed(n);
-        self
-    }
-
-    /// Sets the full worker-thread policy.
-    #[must_use]
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.options.gen_limits.parallelism = parallelism;
-        self
-    }
-
-    /// Installs a cancellation token.
-    #[must_use]
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.ctx = self.ctx.with_cancel(token);
-        self
-    }
-
-    /// Sets the session's memory-accounting budgets, in bytes (see
-    /// [`Minimizer::mem_budget`]).
-    #[must_use]
-    pub fn mem_budget(mut self, soft: Option<u64>, hard: Option<u64>) -> Self {
-        self.ctx = self.ctx.with_mem_budget(soft, hard);
-        self
-    }
-
-    /// Installs a progress-event sink.
-    #[must_use]
-    pub fn on_event(mut self, sink: Arc<dyn EventSink>) -> Self {
-        self.ctx = self.ctx.with_sink(sink);
-        self
-    }
-
-    /// Attaches a cross-call result cache: a verified whole-circuit hit
-    /// skips everything, and per-output EPPP hits skip that output's
-    /// generation (see [`Minimizer::cache`]).
-    #[must_use]
-    pub fn cache(mut self, cache: SppCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
+impl Minimizer<'_, [BoolFn]> {
     /// Runs the shared-term multi-output minimization.
     ///
     /// # Errors
@@ -476,8 +416,105 @@ impl<'f> MultiMinimizer<'f> {
     /// [`SppError::MixedVariableCounts`] when outputs disagree on the
     /// variable count.
     pub fn run(&self) -> Result<MultiSppResult, SppError> {
-        multi_session_cached(self.outputs, &self.options, &self.ctx, self.cache.as_ref())
+        multi_session_cached(self.f, &self.options, &self.ctx, self.cache.as_ref())
     }
+}
+
+/// How a plan picks its answer among the entrants it accepts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Pick {
+    /// The degradation ladder: the first accepted entrant answers and the
+    /// ones after it never run.
+    First,
+    /// The form race: every entrant runs and the cheapest accepted one
+    /// under the objective answers.
+    Cheapest(Objective),
+}
+
+/// What a plan's entrants are called in the event stream: ladder rungs
+/// (`rung_*` events) or race forms (`form_*` events, which carry the
+/// entrant's cost too).
+pub(crate) trait Lane: Copy {
+    /// The SP backstop.
+    const SOP: Self;
+    /// The event announcing the entrant.
+    fn started(self) -> Event;
+    /// The event closing the entrant.
+    fn finished(self, outcome: Outcome, cost: Option<u64>, accepted: bool) -> Event;
+}
+
+impl Lane for Rung {
+    const SOP: Self = Rung::Sop;
+
+    fn started(self) -> Event {
+        Event::RungStarted { rung: self }
+    }
+
+    fn finished(self, outcome: Outcome, _cost: Option<u64>, accepted: bool) -> Event {
+        Event::RungFinished { rung: self, outcome, accepted }
+    }
+}
+
+impl Lane for Form {
+    const SOP: Self = Form::Sop;
+
+    fn started(self) -> Event {
+        Event::FormStarted { form: self }
+    }
+
+    fn finished(self, outcome: Outcome, cost: Option<u64>, accepted: bool) -> Event {
+        Event::FormFinished { form: self, outcome, cost, accepted }
+    }
+}
+
+/// One entrant's finished run, as the plan executor judges it.
+pub(crate) trait Attempt: Sized {
+    /// How the run ended.
+    fn outcome(&self) -> Outcome;
+    /// Whether the result computes `f` under its own form's semantics.
+    fn realizes(&self, f: &BoolFn) -> bool;
+    /// The result's cost under `objective`.
+    fn cost(&self, objective: Objective) -> u64;
+    /// The SP backstop's answer, taking `elapsed` and `outcome`.
+    fn backstop(sp: SpMinResult, outcome: Outcome, elapsed: Duration, ctx: &RunCtx) -> Self;
+}
+
+impl Attempt for SppMinResult {
+    fn outcome(&self) -> Outcome {
+        self.outcome
+    }
+
+    fn realizes(&self, f: &BoolFn) -> bool {
+        self.form.check_realizes(f).is_ok()
+    }
+
+    fn cost(&self, objective: Objective) -> u64 {
+        crate::portfolio::spp_cost(&self.form, objective)
+    }
+
+    fn backstop(sp: SpMinResult, outcome: Outcome, elapsed: Duration, ctx: &RunCtx) -> Self {
+        SppMinResult {
+            gen_elapsed: elapsed,
+            faults: ctx.faults(),
+            ..SppMinResult::from_sp(&sp.form, outcome)
+        }
+    }
+}
+
+/// How one entrant of a plan fared.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Verdict<L> {
+    /// The entrant.
+    pub(crate) lane: L,
+    /// How its run ended (`Completed` for an entrant that could not run).
+    pub(crate) outcome: Outcome,
+    /// Its cost under a race's objective, if it verified; always `None`
+    /// on the ladder, which compares no costs.
+    pub(crate) cost: Option<u64>,
+    /// Wall-clock time the entrant took.
+    pub(crate) wall: Duration,
+    /// Whether it was accepted: verified and within the memory budget.
+    pub(crate) accepted: bool,
 }
 
 #[cfg(test)]

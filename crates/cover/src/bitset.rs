@@ -189,21 +189,6 @@ impl BitSet {
         spp_kernels::and_count_fold(&self.words, &other.words)
     }
 
-    /// Popcount of `self & other`, stopping early once the running count
-    /// exceeds `cap`: returns `min(|self & other|, cap + 1)`, so a caller
-    /// that only asks whether a count beats a bound never pays for a full
-    /// count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    #[must_use]
-    #[inline]
-    pub fn and_count_ones_capped(&self, other: &BitSet, cap: usize) -> usize {
-        assert_eq!(self.len, other.len, "length mismatch");
-        spp_kernels::and_count_capped(&self.words, &other.words, cap)
-    }
-
     /// The index of the first bit set in both `self` and `other`, or
     /// `None` — the "single remaining column of an essential row" kernel.
     ///
@@ -430,9 +415,6 @@ mod tests {
         let a = BitSet::from_indices(200, &[1, 70, 130, 199]);
         let b = BitSet::from_indices(200, &[70, 130, 131]);
         assert_eq!(a.and_count_ones(&b), 2);
-        assert_eq!(a.and_count_ones_capped(&b, 0), 1);
-        assert_eq!(a.and_count_ones_capped(&b, 1), 2);
-        assert_eq!(a.and_count_ones_capped(&b, 5), 2);
         assert_eq!(a.first_one_in(&b), Some(70));
         assert_eq!(a.first_one_in(&BitSet::new(200)), None);
     }

@@ -17,9 +17,9 @@
 //!
 //! Exactness, not estimation: each body computes the same function of the
 //! full input as its scalar reference, so results are bit-identical by
-//! construction. The only early exits (`and_count_capped`, the subset and
-//! intersection tests) return values that are pure functions of the total,
-//! so block-granular exits cannot change them.
+//! construction. The only early exits (the subset and intersection tests)
+//! return values that are pure functions of the whole input, so
+//! block-granular exits cannot change them.
 
 use core::arch::x86_64::*;
 
@@ -132,31 +132,6 @@ pub(crate) unsafe fn xor_count(a: &[u64], b: &[u64]) -> usize {
         i += 1;
     }
     total
-}
-
-// Exits per 4-word block instead of per word; the return value is
-// `min(|a ∩ b|, cap + 1)` either way, so the coarser exit is invisible.
-#[target_feature(enable = "avx2,popcnt")]
-pub(crate) unsafe fn and_count_capped(a: &[u64], b: &[u64], cap: usize) -> usize {
-    let n = a.len();
-    let mut count = 0usize;
-    let mut i = 0;
-    while i + 4 <= n {
-        let v = _mm256_and_si256(load(a.as_ptr(), i), load(b.as_ptr(), i));
-        count += hsum_epi64(popcount_epi64(v)) as usize;
-        if count > cap {
-            return cap + 1;
-        }
-        i += 4;
-    }
-    while i < n {
-        count += (a[i] & b[i]).count_ones() as usize;
-        if count > cap {
-            return cap + 1;
-        }
-        i += 1;
-    }
-    count
 }
 
 #[target_feature(enable = "avx2,popcnt")]

@@ -18,7 +18,7 @@
 //! Backends differ **only** in wall time. Every kernel returns exactly
 //! the value the scalar loop returns, for every input, including
 //! position-reporting kernels ([`first_and_one`], [`positions_eq`]) and
-//! early-exit kernels ([`and_count_capped`]), whose results are pure
+//! early-exit kernels ([`subset`], [`intersects`]), whose results are pure
 //! functions of the input that block-granular exits cannot change. The
 //! covering engine's determinism guarantee (identical covers and node
 //! counters at any thread count) therefore extends across backends, and
@@ -332,10 +332,6 @@ kernels! {
     /// delta index to rank sibling functions by how many minterms
     /// changed.
     fn xor_count(a: &[u64], b: &[u64]) -> usize;
-
-    /// `min(|a ∩ b|, cap + 1)`: the intersection popcount, abandoned as
-    /// soon as it exceeds `cap`.
-    fn and_count_capped(a: &[u64], b: &[u64], cap: usize) -> usize;
 
     /// `(|a ∩ b|, OR-fold of a ∩ b)`: the intersection popcount together
     /// with the bitwise OR of every intersection word, in one sweep. The

@@ -101,30 +101,6 @@ pub(crate) unsafe fn xor_count(a: &[u64], b: &[u64]) -> usize {
     total
 }
 
-// Exits per 2-word block; the return value is `min(|a ∩ b|, cap + 1)`
-// either way, so the coarser exit is invisible.
-#[target_feature(enable = "neon")]
-pub(crate) unsafe fn and_count_capped(a: &[u64], b: &[u64], cap: usize) -> usize {
-    let n = a.len();
-    let mut count = 0usize;
-    let mut i = 0;
-    while i + 2 <= n {
-        count += popcount(vandq_u64(load(a.as_ptr(), i), load(b.as_ptr(), i)));
-        if count > cap {
-            return cap + 1;
-        }
-        i += 2;
-    }
-    while i < n {
-        count += (a[i] & b[i]).count_ones() as usize;
-        if count > cap {
-            return cap + 1;
-        }
-        i += 1;
-    }
-    count
-}
-
 #[target_feature(enable = "neon")]
 pub(crate) unsafe fn and_count_fold(a: &[u64], b: &[u64]) -> (usize, u64) {
     let n = a.len();

@@ -28,18 +28,6 @@ pub(crate) fn xor_count(a: &[u64], b: &[u64]) -> usize {
 }
 
 #[inline]
-pub(crate) fn and_count_capped(a: &[u64], b: &[u64], cap: usize) -> usize {
-    let mut count = 0usize;
-    for (x, y) in a.iter().zip(b) {
-        count += (x & y).count_ones() as usize;
-        if count > cap {
-            return cap + 1;
-        }
-    }
-    count
-}
-
-#[inline]
 pub(crate) fn and_count_fold(a: &[u64], b: &[u64]) -> (usize, u64) {
     let mut count = 0usize;
     let mut fold = 0u64;

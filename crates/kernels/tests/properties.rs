@@ -100,20 +100,6 @@ fn xor_count_matches_scalar() {
 }
 
 #[test]
-fn and_count_capped_matches_scalar_at_every_cap() {
-    for_all_inputs(|simd, a, b, _| {
-        let total = Backend::Scalar.and_count(a, b);
-        for cap in [0, 1, 2, total.saturating_sub(1), total, total + 1, usize::MAX] {
-            assert_eq!(
-                simd.and_count_capped(a, b, cap),
-                Backend::Scalar.and_count_capped(a, b, cap),
-                "a={a:?} b={b:?} cap={cap}"
-            );
-        }
-    });
-}
-
-#[test]
 fn and_count_fold_matches_scalar() {
     for_all_inputs(|simd, a, b, _| {
         assert_eq!(
@@ -161,7 +147,7 @@ fn lone_and_one_agrees_with_count_and_first() {
     // Cross-kernel coherence: the fused kernel must equal what the two
     // kernels it replaces would have computed.
     for_all_inputs(|simd, a, b, _| {
-        let expected = match Backend::Scalar.and_count_capped(a, b, 1) {
+        let expected = match Backend::Scalar.and_count(a, b) {
             0 => LoneOne::None,
             1 => LoneOne::One(Backend::Scalar.first_and_one(a, b).unwrap()),
             _ => LoneOne::Many,

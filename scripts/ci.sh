@@ -9,7 +9,8 @@
 # failpoints (with explicit poison-recovery gates), clippy and rustdoc
 # with warnings denied, a compile check of the feature-gated Criterion
 # bench targets, CLI smokes of the deadline- and memory-degradation
-# paths, an adr4 smoke that every cover is proved optimal, a --cache-dir
+# paths (the rung ladder alone and nested inside the form race), an adr4
+# smoke that every cover is proved optimal, a --cache-dir
 # round-trip smoke, a two-process shared --cache-dir
 # smoke (concurrent writers, bit-identical answers), a serve smoke
 # (daemon up, spp-loadgen drive, SIGINT drain), jq gates on the
@@ -76,6 +77,15 @@ fi
 echo "==> CLI memory smoke (--mem-budget-mb 1 must land on a lower rung)"
 ./target/release/spp bench adr4 --mem-budget-mb 1 --quiet --threads 2 \
   | grep -E "rung|SP fallback" >/dev/null
+
+echo "==> CLI portfolio memory smoke (the ladder nested in the race, under --mem-budget-mb 1)"
+RACE_OUT=$(./target/release/spp bench adr4 --form portfolio --mem-budget-mb 1 --threads 1 --quiet)
+grep -q "^portfolio winner: " <<<"$RACE_OUT"
+RACE_COMPLETED=$(grep -cE "^  (spp|esop|dsop|sop) +completed: cost [0-9]+" <<<"$RACE_OUT" || true)
+if [ "$RACE_COMPLETED" -ne 4 ]; then
+  echo "ci: expected 4 completed scoreboard lines, got $RACE_COMPLETED" >&2
+  exit 1
+fi
 
 echo "==> CLI cache smoke (second identical --cache-dir run must hit)"
 rm -rf /tmp/spp-ci-cache
