@@ -208,12 +208,24 @@ impl FormRealization {
     /// free.
     #[must_use]
     pub fn cost(&self, objective: Objective) -> u64 {
-        match (objective, self) {
-            (_, FormRealization::Spp(form)) => spp_cost(form, objective),
-            (Objective::Literals, _) => self.literal_count(),
-            (Objective::Gates, FormRealization::Esop(form)) => gate_cost_cubes(form.cubes(), 2),
-            (Objective::Gates, FormRealization::Dsop(form)) => gate_cost_cubes(form.cubes(), 1),
-            (Objective::Gates, FormRealization::Sop(form)) => gate_cost_cubes(form.cubes(), 1),
+        match objective {
+            Objective::Literals => self.literal_count(),
+            Objective::Gates => match self {
+                FormRealization::Spp(form) => {
+                    let mut cost = 0u64;
+                    for term in form.terms() {
+                        let cex = term.cex();
+                        for factor in cex.factors() {
+                            cost += 2 * u64::from(factor.literal_count()).saturating_sub(1);
+                        }
+                        cost += (cex.factors().len() as u64).saturating_sub(1);
+                    }
+                    cost + (form.num_pseudoproducts() as u64).saturating_sub(1)
+                }
+                FormRealization::Esop(form) => gate_cost_cubes(form.cubes(), 2),
+                FormRealization::Dsop(form) => gate_cost_cubes(form.cubes(), 1),
+                FormRealization::Sop(form) => gate_cost_cubes(form.cubes(), 1),
+            },
         }
     }
 }
@@ -228,22 +240,6 @@ impl fmt::Display for FormRealization {
             FormRealization::Sop(form) => form.fmt(f),
         }
     }
-}
-
-/// An SPP form's cost under `objective` (see [`FormRealization::cost`]).
-pub(crate) fn spp_cost(form: &SppForm, objective: Objective) -> u64 {
-    if objective == Objective::Literals {
-        return form.literal_count();
-    }
-    let mut cost = 0u64;
-    for term in form.terms() {
-        let cex = term.cex();
-        for factor in cex.factors() {
-            cost += 2 * u64::from(factor.literal_count()).saturating_sub(1);
-        }
-        cost += (cex.factors().len() as u64).saturating_sub(1);
-    }
-    cost + (form.num_pseudoproducts() as u64).saturating_sub(1)
 }
 
 /// AND-tree per cube plus a combine tree across cubes, with the combine
@@ -351,7 +347,8 @@ impl Minimizer<'_> {
         objective: Objective,
         mut run: impl FnMut(Form) -> FormRun,
     ) -> PortfolioResult {
-        let pick = Pick::Cheapest(objective);
+        let price = |r: &FormRun| r.realization.cost(objective);
+        let pick = Pick::Cheapest(&price);
         let (won, verdicts) = self.run_plan(entrants, pick, |form| Some(run(form)));
         let reports = verdicts
             .into_iter()
@@ -463,10 +460,6 @@ impl Attempt for FormRun {
 
     fn realizes(&self, f: &BoolFn) -> bool {
         self.realization.realizes(f)
-    }
-
-    fn cost(&self, objective: Objective) -> u64 {
-        self.realization.cost(objective)
     }
 
     fn backstop(sp: SpMinResult, outcome: Outcome, _elapsed: Duration, _ctx: &RunCtx) -> Self {

@@ -988,7 +988,7 @@ pub fn execute_fns(
     }
     let start = Instant::now();
     let deadline = env.effective_deadline(req);
-    let mem = env.effective_mem(req);
+    let (mem_soft, mem_hard) = env.effective_mem(req);
     let frame = |e: SppError| ErrorFrame::from(e).with_id(req.id.clone());
 
     // A run-control stop (deadline, cancellation, memory) can truncate a
@@ -999,13 +999,14 @@ pub fn execute_fns(
         |f: &BoolFn| SppForm::from_sp(&sp_minimum(f, &SppOptions::default().cover_limits).form);
 
     fn configure_generic<'f, F: ?Sized>(
-        mut m: Minimizer<'f, F>,
+        m: Minimizer<'f, F>,
         req: &MinimizeRequest,
         env: &ExecEnv,
         deadline: Option<Instant>,
-        (mem_soft, mem_hard): (Option<u64>, Option<u64>),
+        mem_soft: Option<u64>,
+        mem_hard: Option<u64>,
     ) -> Minimizer<'f, F> {
-        m = m.grouping(req.grouping);
+        let mut m = m.grouping(req.grouping);
         if let Some(t) = req.threads.or(env.threads_default) {
             m = m.threads(t);
         }
@@ -1048,7 +1049,8 @@ pub fn execute_fns(
                 ),
             ));
         }
-        let r = configure_generic(MultiMinimizer::new(outputs), req, env, deadline, mem)
+        let m = MultiMinimizer::new(outputs);
+        let r = configure_generic(m, req, env, deadline, mem_soft, mem_hard)
             .run()
             .map_err(frame)?;
         (outcome, optimal, forms) = (r.outcome, r.optimal, r.forms);
@@ -1074,7 +1076,8 @@ pub fn execute_fns(
         realizations = forms.iter().cloned().map(FormRealization::Spp).collect();
     } else {
         for f in outputs {
-            let m = configure_generic(Minimizer::new(f), req, env, deadline, mem);
+            let m =
+                configure_generic(Minimizer::new(f), req, env, deadline, mem_soft, mem_hard);
             let spp = match req.mode {
                 MinimizeMode::Portfolio => None,
                 MinimizeMode::Exact => Some(m.run_exact()),

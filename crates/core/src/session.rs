@@ -31,8 +31,8 @@ use crate::minimize::{exact_session_cached, sp_minimum};
 use crate::multi::multi_session_cached;
 use crate::restricted::restricted_session;
 use crate::{
-    EpppSet, GenLimits, Grouping, MultiSppResult, Objective, Pseudocube, SppCache, SppError,
-    SppMinResult, SppOptions,
+    EpppSet, GenLimits, Grouping, MultiSppResult, Pseudocube, SppCache, SppError, SppMinResult,
+    SppOptions,
 };
 
 /// A configured minimization session — the front door of the crate.
@@ -355,7 +355,7 @@ impl Minimizer<'_> {
     pub(crate) fn run_plan<L: Lane, A: Attempt>(
         &self,
         entrants: &[L],
-        pick: Pick,
+        pick: Pick<'_, A>,
         mut run: impl FnMut(L) -> Option<A>,
     ) -> (A, Vec<Verdict<L>>) {
         let mut verdicts = Vec::with_capacity(entrants.len() + 1);
@@ -368,14 +368,14 @@ impl Minimizer<'_> {
             let outcome = attempt.as_ref().map_or(Outcome::Completed, Attempt::outcome);
             let verified = attempt.as_ref().is_some_and(|a| a.realizes(self.f));
             let accepted = verified && outcome != Outcome::MemoryExceeded;
-            let cost = match (pick, &attempt) {
-                (Pick::Cheapest(objective), Some(a)) if verified => Some(a.cost(objective)),
+            let cost = match (&pick, &attempt) {
+                (Pick::Cheapest(price), Some(a)) if verified => Some(price(a)),
                 _ => None,
             };
             self.ctx.emit(lane.finished(outcome, cost, accepted));
             verdicts.push(Verdict { lane, outcome, cost, wall: start.elapsed(), accepted });
             let Some(a) = attempt.filter(|_| accepted) else { continue };
-            if pick == Pick::First {
+            if matches!(pick, Pick::First) {
                 return (a, verdicts);
             }
             // Strict `<`: ties stay with the earlier entrant, which pins
@@ -397,7 +397,7 @@ impl Minimizer<'_> {
         let outcome = self.ctx.stop_reason().unwrap_or_default();
         let a = A::backstop(sp, outcome, start.elapsed(), &self.ctx);
         let cost = match pick {
-            Pick::Cheapest(objective) => Some(a.cost(objective)),
+            Pick::Cheapest(price) => Some(price(&a)),
             Pick::First => None,
         };
         self.ctx.emit(L::SOP.finished(outcome, cost, true));
@@ -421,14 +421,13 @@ impl Minimizer<'_, [BoolFn]> {
 }
 
 /// How a plan picks its answer among the entrants it accepts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Pick {
+pub(crate) enum Pick<'a, A> {
     /// The degradation ladder: the first accepted entrant answers and the
     /// ones after it never run.
     First,
-    /// The form race: every entrant runs and the cheapest accepted one
-    /// under the objective answers.
-    Cheapest(Objective),
+    /// The form race: every entrant runs, each verified one is priced,
+    /// and the cheapest accepted one answers.
+    Cheapest(&'a dyn Fn(&A) -> u64),
 }
 
 /// What a plan's entrants are called in the event stream: ladder rungs
@@ -473,9 +472,8 @@ pub(crate) trait Attempt: Sized {
     fn outcome(&self) -> Outcome;
     /// Whether the result computes `f` under its own form's semantics.
     fn realizes(&self, f: &BoolFn) -> bool;
-    /// The result's cost under `objective`.
-    fn cost(&self, objective: Objective) -> u64;
-    /// The SP backstop's answer, taking `elapsed` and `outcome`.
+    /// The plan's answer from the SP minimum `sp`, computed in `elapsed`
+    /// and ending with `outcome`.
     fn backstop(sp: SpMinResult, outcome: Outcome, elapsed: Duration, ctx: &RunCtx) -> Self;
 }
 
@@ -486,10 +484,6 @@ impl Attempt for SppMinResult {
 
     fn realizes(&self, f: &BoolFn) -> bool {
         self.form.check_realizes(f).is_ok()
-    }
-
-    fn cost(&self, objective: Objective) -> u64 {
-        crate::portfolio::spp_cost(&self.form, objective)
     }
 
     fn backstop(sp: SpMinResult, outcome: Outcome, elapsed: Duration, ctx: &RunCtx) -> Self {
@@ -508,8 +502,8 @@ pub(crate) struct Verdict<L> {
     pub(crate) lane: L,
     /// How its run ended (`Completed` for an entrant that could not run).
     pub(crate) outcome: Outcome,
-    /// Its cost under a race's objective, if it verified; always `None`
-    /// on the ladder, which compares no costs.
+    /// Its price in a race, if it verified; always `None` on the
+    /// ladder, which compares no costs.
     pub(crate) cost: Option<u64>,
     /// Wall-clock time the entrant took.
     pub(crate) wall: Duration,

@@ -632,7 +632,8 @@ fn exec_env(shared: &Shared, cancel: CancelToken) -> ExecEnv {
             .map(|ms| Instant::now() + Duration::from_millis(ms)),
         mem_soft: None,
         // Each concurrent worker gets an equal slice of the server
-        // budget; `run_governed` resets the byte account per rung, so a
+        // budget; the session's plan executor resets the byte account
+        // before every entrant (each ladder rung, each raced form), so a
         // literally shared governor would mix requests' accounts.
         mem_hard: shared
             .config
