@@ -496,7 +496,7 @@ impl Attempt for SppMinResult {
 }
 
 /// How one entrant of a plan fared.
-#[derive(Clone, Copy, Debug)]
+#[derive(Debug)]
 pub(crate) struct Verdict<L> {
     /// The entrant.
     pub(crate) lane: L,
