@@ -699,6 +699,215 @@ mod tests {
         );
     }
 
+    /// Replaces every `"wall_ms":<x>` value in an event line with `_`.
+    fn mask_wall_ms(json: &str) -> String {
+        const KEY: &str = "\"wall_ms\":";
+        let mut out = String::new();
+        let mut rest = json;
+        while let Some(i) = rest.find(KEY) {
+            out.push_str(&rest[..i + KEY.len()]);
+            out.push('_');
+            rest = rest[i + KEY.len()..]
+                .trim_start_matches(|c: char| c.is_ascii_digit() || c == '.');
+        }
+        out.push_str(rest);
+        out
+    }
+
+    /// Pins every SPP pipeline on one 5-variable function (plus a second
+    /// output for the multi-output run), with default and truncating
+    /// generation limits: the answer, its counters and the whole event
+    /// stream with wall times masked.
+    #[test]
+    fn every_spp_pipeline_is_pinned() {
+        struct Log(Mutex<Vec<String>>);
+        impl EventSink for Log {
+            fn emit(&self, event: &Event) {
+                self.0.lock().unwrap().push(mask_wall_ms(&event.to_json()));
+            }
+        }
+        let f = BoolFn::from_truth_fn(5, |x| x % 3 == 1 || x.count_ones() == 4);
+        let g = BoolFn::from_truth_fn(5, |x| x % 3 == 1 && x & 0b100 != 0);
+        let mut trace: Vec<String> = Vec::new();
+        for limits in [GenLimits::default(), GenLimits::default().with_max_pseudocubes(8)] {
+            let single = |name: &str, run: &dyn Fn(&Minimizer) -> SppMinResult| {
+                let log = Arc::new(Log(Mutex::new(Vec::new())));
+                let m =
+                    Minimizer::new(&f).limits(limits.clone()).threads(1).on_event(log.clone());
+                let r = run(&m);
+                let mut lines = vec![format!(
+                    "{name}: {} | candidates {} optimal {} outcome {} rung {}",
+                    r.form, r.num_candidates, r.optimal, r.outcome, r.rung
+                )];
+                lines.extend(log.0.lock().unwrap().drain(..));
+                lines
+            };
+            trace.extend(single("exact", &|m| m.run_exact()));
+            trace.extend(single("restricted", &|m| m.run_restricted(2).unwrap()));
+            trace.extend(single("heuristic", &|m| m.run_heuristic(0).unwrap()));
+            let log = Arc::new(Log(Mutex::new(Vec::new())));
+            let outputs = [f.clone(), g.clone()];
+            let r = MultiMinimizer::new(&outputs)
+                .limits(limits.clone())
+                .threads(1)
+                .on_event(log.clone())
+                .run()
+                .unwrap();
+            trace.push(format!(
+                "multi: {} ; {} | optimal {} outcome {}",
+                r.forms[0], r.forms[1], r.optimal, r.outcome
+            ));
+            trace.extend(log.0.lock().unwrap().drain(..));
+        }
+        let expected: Vec<&str> = PINNED_PIPELINES.trim().lines().collect();
+        for (i, (got, want)) in trace.iter().zip(&expected).enumerate() {
+            assert_eq!(got, want, "trace line {}", i + 1);
+        }
+        assert_eq!(trace.len(), expected.len(), "{}", trace.join("\n"));
+    }
+
+    /// The trace of [`every_spp_pipeline_is_pinned`], one line per answer
+    /// or event.
+    const PINNED_PIPELINES: &str = r#"
+exact: x0·x1·x2 + x0·x3·x4 + x̄0·(x1⊕x̄3)·(x1⊕x2⊕x4) + x̄1·(x2⊕x̄3)·(x0⊕x4) + x1·(x0⊕x2)·x4 | candidates 63 optimal true outcome completed rung exact
+{"event":"phase_started","phase":"generate"}
+{"event":"gen_level_started","degree":0,"size":16}
+{"event":"gen_level_finished","degree":0,"size":16,"groups":1,"unions":120,"retained":0,"live":136,"wall_ms":_}
+{"event":"gen_level_started","degree":1,"size":120}
+{"event":"gen_level_finished","degree":1,"size":120,"groups":31,"unions":61,"retained":2,"live":197,"wall_ms":_}
+{"event":"gen_level_started","degree":2,"size":61}
+{"event":"gen_level_finished","degree":2,"size":61,"groups":61,"unions":0,"retained":61,"live":197,"wall_ms":_}
+{"event":"phase_finished","phase":"generate","wall_ms":_,"outcome":"completed"}
+{"event":"phase_started","phase":"cover"}
+{"event":"cover_started","rows":16,"columns":63}
+{"event":"cover_subtree_started","index":0,"column":2}
+{"event":"cover_subtree_finished","index":0,"nodes":83,"improved":false}
+{"event":"cover_subtree_started","index":1,"column":3}
+{"event":"cover_subtree_finished","index":1,"nodes":85,"improved":false}
+{"event":"cover_subtree_started","index":2,"column":5}
+{"event":"cover_subtree_finished","index":2,"nodes":47,"improved":false}
+{"event":"cover_subtree_started","index":3,"column":6}
+{"event":"cover_subtree_finished","index":3,"nodes":47,"improved":false}
+{"event":"cover_subtree_started","index":4,"column":18}
+{"event":"cover_subtree_finished","index":4,"nodes":62,"improved":false}
+{"event":"cover_subtree_started","index":5,"column":19}
+{"event":"cover_subtree_finished","index":5,"nodes":32,"improved":false}
+{"event":"cover_subtree_started","index":6,"column":8}
+{"event":"cover_subtree_finished","index":6,"nodes":12,"improved":false}
+{"event":"cover_subtree_started","index":7,"column":16}
+{"event":"cover_subtree_finished","index":7,"nodes":12,"improved":false}
+{"event":"cover_subtree_started","index":8,"column":32}
+{"event":"cover_subtree_finished","index":8,"nodes":12,"improved":false}
+{"event":"cover_subtree_started","index":9,"column":34}
+{"event":"cover_subtree_finished","index":9,"nodes":13,"improved":false}
+{"event":"cover_subtree_started","index":10,"column":55}
+{"event":"cover_subtree_finished","index":10,"nodes":12,"improved":false}
+{"event":"cover_subtree_started","index":11,"column":57}
+{"event":"cover_subtree_finished","index":11,"nodes":12,"improved":false}
+{"event":"cover_subtree_started","index":12,"column":0}
+{"event":"cover_subtree_finished","index":12,"nodes":1,"improved":false}
+{"event":"cover_finished","cost":21,"nodes":431,"optimal":true}
+{"event":"phase_finished","phase":"cover","wall_ms":_,"outcome":"completed"}
+restricted: x̄0·(x1⊕x2)·(x1⊕x̄3)·x̄4 + x0·x1·x2 + x0·x3·x4 + x̄1·(x2⊕x̄3)·(x0⊕x4) + x1·(x0⊕x2)·x4 | candidates 54 optimal true outcome completed rung restricted_exact
+{"event":"phase_started","phase":"generate"}
+{"event":"gen_level_started","degree":0,"size":16}
+{"event":"gen_level_finished","degree":0,"size":16,"groups":1,"unions":120,"retained":0,"live":136,"wall_ms":_}
+{"event":"gen_level_started","degree":1,"size":120}
+{"event":"gen_level_finished","degree":1,"size":120,"groups":31,"unions":61,"retained":21,"live":197,"wall_ms":_}
+{"event":"gen_level_started","degree":2,"size":61}
+{"event":"gen_level_finished","degree":2,"size":61,"groups":61,"unions":0,"retained":33,"live":197,"wall_ms":_}
+{"event":"phase_finished","phase":"generate","wall_ms":_,"outcome":"completed"}
+{"event":"phase_started","phase":"cover"}
+{"event":"cover_started","rows":16,"columns":54}
+{"event":"cover_subtree_started","index":0,"column":32}
+{"event":"cover_subtree_finished","index":0,"nodes":29,"improved":false}
+{"event":"cover_subtree_started","index":1,"column":33}
+{"event":"cover_subtree_finished","index":1,"nodes":25,"improved":false}
+{"event":"cover_subtree_started","index":2,"column":35}
+{"event":"cover_subtree_finished","index":2,"nodes":8,"improved":false}
+{"event":"cover_subtree_started","index":3,"column":37}
+{"event":"cover_subtree_finished","index":3,"nodes":8,"improved":false}
+{"event":"cover_subtree_started","index":4,"column":44}
+{"event":"cover_subtree_finished","index":4,"nodes":7,"improved":false}
+{"event":"cover_subtree_started","index":5,"column":46}
+{"event":"cover_subtree_finished","index":5,"nodes":7,"improved":false}
+{"event":"cover_subtree_started","index":6,"column":40}
+{"event":"cover_subtree_finished","index":6,"nodes":1,"improved":false}
+{"event":"cover_subtree_started","index":7,"column":49}
+{"event":"cover_subtree_finished","index":7,"nodes":1,"improved":false}
+{"event":"cover_subtree_started","index":8,"column":0}
+{"event":"cover_subtree_finished","index":8,"nodes":24,"improved":false}
+{"event":"cover_finished","cost":21,"nodes":111,"optimal":true}
+{"event":"phase_finished","phase":"cover","wall_ms":_,"outcome":"completed"}
+heuristic: x̄0·x̄1·x̄3·(x2⊕x4) + (x0⊕x1)·x̄2·(x0⊕x3)·x̄4 + x0·x1·x2 + x0·x1·x4 + x0·x2·x3 + x0·x3·x4 + x1·x2·x4 + x2·x3·x4 | candidates 13 optimal false outcome completed rung heuristic
+{"event":"phase_started","phase":"generate"}
+{"event":"gen_level_started","degree":0,"size":4}
+{"event":"gen_level_finished","degree":0,"size":4,"groups":1,"unions":6,"retained":1,"live":16,"wall_ms":_}
+{"event":"gen_level_started","degree":1,"size":6}
+{"event":"gen_level_finished","degree":1,"size":6,"groups":6,"unions":0,"retained":6,"live":16,"wall_ms":_}
+{"event":"gen_level_started","degree":2,"size":6}
+{"event":"gen_level_finished","degree":2,"size":6,"groups":6,"unions":0,"retained":6,"live":16,"wall_ms":_}
+{"event":"phase_finished","phase":"generate","wall_ms":_,"outcome":"completed"}
+{"event":"phase_started","phase":"cover"}
+{"event":"cover_started","rows":16,"columns":13}
+{"event":"cover_finished","cost":29,"nodes":1,"optimal":true}
+{"event":"phase_finished","phase":"cover","wall_ms":_,"outcome":"completed"}
+multi: x1·x3·(x0⊕x2⊕x̄4) + x̄1·(x2⊕x̄3)·(x0⊕x4) + x2·(x1⊕x3)·(x0⊕x4) + x2·(x0⊕x̄3)·(x1⊕x̄4) + x0·(x1⊕x3)·x4 ; x2·(x1⊕x3)·(x0⊕x4) + x2·(x0⊕x̄3)·(x1⊕x̄4) | optimal true outcome completed
+{"event":"phase_started","phase":"generate"}
+{"event":"gen_level_started","degree":0,"size":16}
+{"event":"gen_level_finished","degree":0,"size":16,"groups":1,"unions":120,"retained":0,"live":136,"wall_ms":_}
+{"event":"gen_level_started","degree":1,"size":120}
+{"event":"gen_level_finished","degree":1,"size":120,"groups":31,"unions":61,"retained":2,"live":197,"wall_ms":_}
+{"event":"gen_level_started","degree":2,"size":61}
+{"event":"gen_level_finished","degree":2,"size":61,"groups":61,"unions":0,"retained":61,"live":197,"wall_ms":_}
+{"event":"gen_level_started","degree":0,"size":6}
+{"event":"gen_level_finished","degree":0,"size":6,"groups":1,"unions":15,"retained":0,"live":21,"wall_ms":_}
+{"event":"gen_level_started","degree":1,"size":15}
+{"event":"gen_level_finished","degree":1,"size":15,"groups":7,"unions":3,"retained":0,"live":24,"wall_ms":_}
+{"event":"gen_level_started","degree":2,"size":3}
+{"event":"gen_level_finished","degree":2,"size":3,"groups":3,"unions":0,"retained":3,"live":24,"wall_ms":_}
+{"event":"phase_finished","phase":"generate","wall_ms":_,"outcome":"completed"}
+{"event":"phase_started","phase":"cover"}
+{"event":"cover_started","rows":22,"columns":63}
+{"event":"cover_subtree_started","index":0,"column":32}
+{"event":"cover_improved","cost":26,"nodes":8}
+{"event":"cover_improved","cost":24,"nodes":18}
+{"event":"cover_subtree_finished","index":0,"nodes":29,"improved":true}
+{"event":"cover_subtree_started","index":1,"column":55}
+{"event":"cover_subtree_finished","index":1,"nodes":16,"improved":false}
+{"event":"cover_finished","cost":24,"nodes":46,"optimal":true}
+{"event":"phase_finished","phase":"cover","wall_ms":_,"outcome":"completed"}
+exact: x̄0·x̄1·x̄2·x̄3·x4 + x̄0·x̄1·x2·x̄3·x̄4 + x̄0·x1·x̄2·x3·x̄4 + x0·x̄1·x̄2·x̄3·x̄4 + x2·x3·x4 + x1·x2·x4 + x0·x3·x4 + x0·x2·x3 + x0·x1·x4 + x0·x1·x2 | candidates 22 optimal false outcome completed rung exact
+{"event":"phase_started","phase":"generate"}
+{"event":"phase_finished","phase":"generate","wall_ms":_,"outcome":"completed"}
+{"event":"phase_started","phase":"cover"}
+{"event":"cover_started","rows":16,"columns":22}
+{"event":"cover_finished","cost":38,"nodes":1,"optimal":true}
+{"event":"phase_finished","phase":"cover","wall_ms":_,"outcome":"completed"}
+restricted: x̄0·x̄1·x̄2·x̄3·x4 + x̄0·x̄1·x2·x̄3·x̄4 + x̄0·x1·x̄2·x3·x̄4 + x0·x̄1·x̄2·x̄3·x̄4 + x2·x3·x4 + x1·x2·x4 + x0·x3·x4 + x0·x2·x3 + x0·x1·x4 + x0·x1·x2 | candidates 22 optimal false outcome completed rung restricted_exact
+{"event":"phase_started","phase":"generate"}
+{"event":"phase_finished","phase":"generate","wall_ms":_,"outcome":"completed"}
+{"event":"phase_started","phase":"cover"}
+{"event":"cover_started","rows":16,"columns":22}
+{"event":"cover_finished","cost":38,"nodes":1,"optimal":true}
+{"event":"phase_finished","phase":"cover","wall_ms":_,"outcome":"completed"}
+heuristic: x̄0·x̄1·x̄2·x̄3·x4 + x̄0·x̄1·x2·x̄3·x̄4 + x̄0·x1·x̄2·x3·x̄4 + x0·x̄1·x̄2·x̄3·x̄4 + x0·x1·x2 + x0·x1·x4 + x0·x2·x3 + x0·x3·x4 + x1·x2·x4 + x2·x3·x4 | candidates 10 optimal false outcome completed rung heuristic
+{"event":"phase_started","phase":"generate"}
+{"event":"phase_finished","phase":"generate","wall_ms":_,"outcome":"completed"}
+{"event":"phase_started","phase":"cover"}
+{"event":"cover_started","rows":16,"columns":10}
+{"event":"cover_finished","cost":38,"nodes":1,"optimal":true}
+{"event":"phase_finished","phase":"cover","wall_ms":_,"outcome":"completed"}
+multi: x̄0·x̄1·x̄2·x̄3·x4 + x̄0·x1·x̄2·x3·x̄4 + x̄0·x1·x2·x̄3·x4 + x̄0·x1·x2·x3·x4 + x0·x̄1·x̄2·x̄3·x̄4 + x0·x̄1·x̄2·x3·x4 + x0·x̄1·x2·x3·x̄4 + x0·x̄1·x2·x3·x4 + x0·x1·x̄2·x̄3·x4 + x0·x1·x̄2·x3·x4 + x0·x1·x2·x̄3·x̄4 + x0·x1·x2·x̄3·x4 + x0·x1·x2·x3·x̄4 + x0·x1·x2·x3·x4 + x̄0·x̄1·x2·(x3⊕x̄4) ; x̄0·x1·x2·x̄3·x4 + x0·x̄1·x2·x3·x̄4 + x0·x1·x2·x̄3·x̄4 + x0·x1·x2·x3·x4 + x̄0·x̄1·x2·(x3⊕x̄4) | optimal false outcome completed
+{"event":"phase_started","phase":"generate"}
+{"event":"gen_level_started","degree":0,"size":6}
+{"event":"gen_level_finished","degree":0,"size":6,"groups":1,"unions":5,"retained":6,"live":11,"wall_ms":_}
+{"event":"phase_finished","phase":"generate","wall_ms":_,"outcome":"completed"}
+{"event":"phase_started","phase":"cover"}
+{"event":"cover_started","rows":22,"columns":21}
+{"event":"cover_finished","cost":75,"nodes":1,"optimal":true}
+{"event":"phase_finished","phase":"cover","wall_ms":_,"outcome":"completed"}"#;
+
     #[test]
     fn generate_matches_an_explicitly_configured_session() {
         let f = BoolFn::from_indices(4, &[0, 3, 5, 6, 9, 10, 12, 15]);
