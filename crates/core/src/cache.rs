@@ -438,17 +438,13 @@ impl SppCache {
 
     /// The delta path: on an EPPP miss, look for a recently cached
     /// sibling function within a small ON-set Hamming distance (identical
-    /// DC set), splice its level snapshot into `f`'s EPPP set, and cache
-    /// the result under `f` as if it had been generated cold. Returns
+    /// DC set), splice its level snapshot into `f`'s EPPP set, and store
+    /// the spliced function's own snapshot (the caller caches the set
+    /// itself, as if it had been generated cold). Returns
     /// `None` — silently for "no sibling", with a typed
     /// [`Event::DeltaRejected`] for a failed splice — when the caller
     /// should fall back to cold generation.
-    pub(crate) fn delta_eppp(
-        &self,
-        f: &BoolFn,
-        grouping: Grouping,
-        ctx: &RunCtx,
-    ) -> Option<EpppSet> {
+    pub(crate) fn delta_eppp(&self, f: &BoolFn, ctx: &RunCtx) -> Option<EpppSet> {
         let n = f.num_vars();
         let (on, dc) = delta::dense_bitmaps(f)?;
         let sibling =
@@ -468,11 +464,9 @@ impl SppCache {
                     spliced: out.spliced,
                 });
                 self.inner.note_delta_reuse();
-                // The spliced set is a function-level fact: store it and
-                // its snapshot so the next identical call is a plain hit
-                // and the next edit splices from *this* function.
+                // The spliced set is a function-level fact: its snapshot
+                // lets the next edit splice from *this* function.
                 self.put_levels(f, out.levels, ctx);
-                self.put_eppp(f, grouping, 0, &out.eppp, ctx);
                 Some(out.eppp)
             }
             Err(reason) => {

@@ -2,8 +2,6 @@
 //! Algorithm 2, with three interchangeable grouping strategies and a
 //! deterministic parallel union sweep.
 //!
-//! # Parallel execution
-//!
 //! # The arena sweep
 //!
 //! Within a structure group `W`, the union of two members is canonical in
@@ -20,6 +18,8 @@
 //! degree-`m+1` union is produced by up to `2^{m+1}−1` group pairs) cost
 //! one digest probe and one row comparison instead of a basis clone, a
 //! rehash and a fresh conforming evaluation.
+//!
+//! # Parallel execution
 //!
 //! With [`GenLimits::parallelism`] above one worker, each level's union
 //! sweep is split into *units* (contiguous outer-index ranges of structure

@@ -1,16 +1,15 @@
 //! The incremental heuristic (Algorithm 3): SPP_k forms.
 
 use std::collections::HashSet;
+use std::time::Instant;
 
 use spp_boolfn::BoolFn;
-use spp_obs::{Event, Outcome, Phase, RunCtx};
-
-use spp_obs::Rung;
+use spp_obs::{Event, Outcome, Phase, RunCtx, Rung};
 
 use crate::generate::{approx_pseudocube_bytes, sweep_level, SweepOutcome};
-use crate::minimize::cover_with_candidates;
+use crate::minimize::{cover_phase, on_set_problem, timed_phase};
 use crate::{
-    sub_pseudocubes, GenStats, Grouping, LevelStats, Pseudocube, SppError, SppMinResult,
+    sub_pseudocubes, GenStats, Grouping, LevelStats, Pseudocube, SppError, SppForm, SppMinResult,
     SppOptions,
 };
 
@@ -70,10 +69,7 @@ pub(crate) fn heuristic_from_cover_session(
     if k >= n.max(1) {
         return Err(SppError::HeuristicK { k, n });
     }
-    let phase_start = std::time::Instant::now();
-    let ctx = ctx
-        .clone()
-        .cap_deadline(options.gen_limits.time_limit.map(|d| phase_start + d));
+    let ctx = ctx.clone().cap_deadline(options.gen_limits.time_limit.map(|d| Instant::now() + d));
 
     // The seed must be a cover of implicants, or the result could not
     // realize f.
@@ -88,8 +84,45 @@ pub(crate) fn heuristic_from_cover_session(
         }
     }
 
-    ctx.emit(Event::PhaseStarted { phase: Phase::Generate });
+    let ((retained, gen_stats), _, gen_elapsed) = timed_phase(&ctx, Phase::Generate, || {
+        let (retained, stats) = candidate_pool(f, cover, k, options, &ctx);
+        let outcome = stats.outcome;
+        ((retained, stats), outcome)
+    });
+    // Phase 4: minimum-literal covering.
+    let ((form, cover_optimal), cover_outcome, cover_elapsed) = cover_phase(
+        &ctx,
+        options,
+        &retained,
+        None,
+        || on_set_problem(f, &retained, options.gen_limits.parallelism),
+        |cover| (SppForm::new(n, cover.terms), cover.optimal),
+    );
+    let outcome = gen_stats.outcome.merge(cover_outcome);
+    Ok(SppMinResult {
+        form,
+        num_candidates: retained.len(),
+        optimal: cover_optimal && !gen_stats.truncated && k + 1 >= n && outcome.is_completed(),
+        gen_stats,
+        gen_elapsed,
+        cover_elapsed,
+        outcome,
+        rung: Rung::Heuristic,
+        faults: ctx.faults(),
+    })
+}
 
+/// Phases 1–3 of the heuristic: the candidate pool grown from the seed
+/// `cover` by `k` descendant steps and the ascendant union sweep, with
+/// its generation statistics.
+fn candidate_pool(
+    f: &BoolFn,
+    cover: &[spp_boolfn::Cube],
+    k: usize,
+    options: &SppOptions,
+    ctx: &RunCtx,
+) -> (Vec<Pseudocube>, GenStats) {
+    let n = f.num_vars();
     // Phase 1: one level per degree, seeded with the input cover.
     let mut levels: Vec<HashSet<Pseudocube>> = vec![HashSet::new(); n + 1];
     for cube in cover {
@@ -173,7 +206,7 @@ pub(crate) fn heuristic_from_cover_session(
                 Grouping::PartitionTrie,
                 threads,
                 options.gen_limits.max_pseudocubes.saturating_sub(generated),
-                &ctx,
+                ctx,
                 &|_| true,
             )
         };
@@ -234,37 +267,7 @@ pub(crate) fn heuristic_from_cover_session(
     stats.total_generated = generated;
     stats.truncated = truncated;
     stats.outcome = outcome;
-
-    // Phase 4: minimum-literal covering.
-    let gen_elapsed = phase_start.elapsed();
-    ctx.emit(Event::PhaseFinished { phase: Phase::Generate, wall: gen_elapsed, outcome });
-    let cover_start = std::time::Instant::now();
-    ctx.emit(Event::PhaseStarted { phase: Phase::Cover });
-    let (form, cover_optimal, cover_outcome) = cover_with_candidates(
-        f,
-        &retained,
-        &options.cover_limits,
-        options.gen_limits.parallelism,
-        &ctx,
-    );
-    outcome = outcome.merge(cover_outcome);
-    let cover_elapsed = cover_start.elapsed();
-    ctx.emit(Event::PhaseFinished {
-        phase: Phase::Cover,
-        wall: cover_elapsed,
-        outcome: cover_outcome,
-    });
-    Ok(SppMinResult {
-        form,
-        num_candidates: retained.len(),
-        optimal: cover_optimal && !truncated && k + 1 >= n && outcome.is_completed(),
-        gen_stats: stats,
-        gen_elapsed,
-        cover_elapsed,
-        outcome,
-        rung: Rung::Heuristic,
-        faults: ctx.faults(),
-    })
+    (retained, stats)
 }
 
 fn sorted(set: &HashSet<Pseudocube>) -> Vec<Pseudocube> {

@@ -105,9 +105,7 @@ pub use spp_obs::{
     Phase, ResourceGovernor, RunCtx, Rung, StderrSink,
 };
 pub use spp_par::Parallelism;
-pub use restricted::{
-    factor_width_at_most, restricted_default_grouping, restricted_default_limits,
-};
+pub use restricted::factor_width_at_most;
 pub use structure::Structure;
 pub use subpseudo::sub_pseudocubes;
 pub use trie::{Leaf, NodeKind, PartitionTrie};

@@ -1,10 +1,20 @@
-//! End-to-end exact SPP minimization (Algorithm 2).
+//! End-to-end SPP minimization: the Algorithm-2 session behind the exact
+//! and `k`-SPP minimizers, and the pieces every SPP path shares — the
+//! phase timer, EPPP generation through the cache and the covering
+//! phase.
+
+use std::collections::{HashMap, HashSet};
+use std::time::{Duration, Instant};
 
 use spp_boolfn::BoolFn;
 use spp_cover::{solve_auto_warm, CoverProblem, CoverSolution};
 use spp_obs::{Event, Fault, Outcome, Phase, RunCtx, Rung};
 
-use crate::{GenLimits, GenStats, Grouping, Pseudocube, SppCache, SppForm};
+use crate::generate::{generate_eppp_session, generate_eppp_session_capture, LevelCapture};
+use crate::{
+    factor_width_at_most, EpppSet, GenLimits, GenStats, Grouping, Pseudocube, SppCache, SppError,
+    SppForm,
+};
 
 /// Configuration of the SPP minimizers.
 ///
@@ -69,9 +79,9 @@ pub struct SppMinResult {
     /// entries.
     pub optimal: bool,
     /// Wall-clock time of the candidate-generation phase.
-    pub gen_elapsed: std::time::Duration,
+    pub gen_elapsed: Duration,
     /// Wall-clock time of the set-covering phase.
-    pub cover_elapsed: std::time::Duration,
+    pub cover_elapsed: Duration,
     /// How the run ended: [`Outcome::Completed`], or the phase-merged
     /// deadline/cancellation/memory cause. Any non-completed outcome
     /// implies the form is a valid best-so-far upper bound (`optimal` is
@@ -105,8 +115,8 @@ impl SppMinResult {
             form,
             gen_stats: GenStats::default(),
             optimal: false,
-            gen_elapsed: std::time::Duration::ZERO,
-            cover_elapsed: std::time::Duration::ZERO,
+            gen_elapsed: Duration::ZERO,
+            cover_elapsed: Duration::ZERO,
             outcome,
             rung: Rung::Sop,
             faults: Vec::new(),
@@ -121,128 +131,128 @@ pub(crate) fn sp_minimum(f: &BoolFn, limits: &spp_cover::Limits) -> spp_sp::SpMi
     spp_sp::minimize_sp(f, limits)
 }
 
-/// The run-control-aware exact minimizer behind
-/// [`crate::Minimizer::run_exact`] — the paper's **Algorithm 2**: (1–2)
-/// build the EPPP set by structure-grouped unions over partition tries,
-/// (3) solve the induced minimum-literal covering problem. Emits phase
-/// events, merges the generation and covering outcomes and always
-/// returns a valid (possibly best-so-far) form.
-#[cfg(test)]
-pub(crate) fn exact_session(f: &BoolFn, options: &SppOptions, ctx: &RunCtx) -> SppMinResult {
-    exact_session_cached(f, options, ctx, None)
+/// Runs `body` as one `phase` of a session, between its `PhaseStarted`
+/// and `PhaseFinished` events; the latter carries the outcome `body`
+/// reports and the phase's wall time, which is returned too. Every phase
+/// event of the crate is emitted here.
+pub(crate) fn timed_phase<T>(
+    ctx: &RunCtx,
+    phase: Phase,
+    body: impl FnOnce() -> (T, Outcome),
+) -> (T, Outcome, Duration) {
+    let start = Instant::now();
+    ctx.emit(Event::PhaseStarted { phase });
+    let (value, outcome) = body();
+    let wall = start.elapsed();
+    ctx.emit(Event::PhaseFinished { phase, wall, outcome });
+    (value, outcome, wall)
 }
 
-/// [`exact_session`] with an optional result cache: a verified result hit
-/// skips both phases, an EPPP hit skips generation, and a sibling result
-/// (same function, different options) warm-starts the covering search.
-/// Completed work flows back into the cache on the way out.
-pub(crate) fn exact_session_cached(
+/// The run-control-aware session behind [`crate::Minimizer::run_exact`]
+/// and [`crate::Minimizer::run_restricted`] — the paper's **Algorithm 2**
+/// over a conforming family of pseudoproducts: every pseudoproduct
+/// (`max_factor_literals` `None`, rung [`Rung::Exact`]), or those whose
+/// EXOR factors hold at most `w` literals (`Some(w)`, the `k`-SPP forms,
+/// rung [`Rung::RestrictedExact`]). (1–2) build the EPPP set by
+/// structure-grouped unions over partition tries, (3) solve the induced
+/// minimum-literal covering problem. Emits phase events, merges the
+/// generation and covering outcomes and always returns a valid (possibly
+/// best-so-far) form.
+///
+/// With a result cache — unrestricted family only, since no cache key
+/// carries a width — a verified result hit skips both phases, an EPPP
+/// hit or a sibling's delta splice skips cold generation, and a sibling
+/// result (same function, different options) warm-starts the covering
+/// search. Completed work flows back into the cache on the way out.
+///
+/// # Errors
+///
+/// [`SppError::ZeroFactorWidth`] when `max_factor_literals` is `Some(0)`.
+pub(crate) fn algorithm2_session(
     f: &BoolFn,
+    max_factor_literals: Option<usize>,
     options: &SppOptions,
     ctx: &RunCtx,
     cache: Option<&SppCache>,
-) -> SppMinResult {
-    if let Some(cache) = cache {
-        if let Some(hit) = cache.get_result(f, options, ctx) {
-            return hit;
-        }
+) -> Result<SppMinResult, SppError> {
+    if max_factor_literals == Some(0) {
+        return Err(SppError::ZeroFactorWidth);
     }
-    let gen_start = std::time::Instant::now();
-    ctx.emit(Event::PhaseStarted { phase: Phase::Generate });
-    let cached_eppp =
-        cache.and_then(|c| c.get_eppp(f, options.grouping, 0, ctx));
-    // Miss path, in preference order: splice a near-duplicate sibling's
-    // cached generation levels (bit-identical to cold, far cheaper for
-    // small edits), else generate cold — capturing the levels so *this*
-    // function becomes a future splice donor.
-    let delta_eppp = match cached_eppp {
-        Some(_) => None,
-        None => cache.and_then(|c| c.delta_eppp(f, options.grouping, ctx)),
-    };
-    let eppp = match cached_eppp.or(delta_eppp) {
-        Some(set) => set,
-        None => {
-            let mut capture = (cache.is_some()
-                && f.num_vars() <= crate::delta::DELTA_MAX_VARS)
-                .then(|| crate::generate::LevelCapture::new(crate::delta::DELTA_CAPTURE_CAP));
-            let set = crate::generate::generate_eppp_session_capture(
+    let cache = cache.filter(|_| max_factor_literals.is_none());
+    if let Some(hit) = cache.and_then(|c| c.get_result(f, options, ctx)) {
+        return Ok(hit);
+    }
+    let ((gen_stats, candidates), _, gen_elapsed) = timed_phase(ctx, Phase::Generate, || {
+        let eppp = match max_factor_literals {
+            None => exact_eppp(f, options, ctx, cache),
+            Some(w) => generate_eppp_session(
                 f,
                 options.grouping,
                 &options.gen_limits,
-                &|_| true,
+                &|pc| factor_width_at_most(pc, w),
                 ctx,
-                capture.as_mut(),
-            );
-            if let Some(cache) = cache {
-                cache.put_eppp(f, options.grouping, 0, &set, ctx);
-                if let Some(capture) = capture.filter(|c| !c.overflowed) {
-                    cache.put_levels(f, capture.levels, ctx);
+            ),
+        };
+        let mut candidates = eppp.pseudocubes;
+        if eppp.stats.truncated {
+            // A truncated run may have lost the high-degree pseudoproducts
+            // the minimum needs. Cubes are pseudoproducts of width-1
+            // factors, so folding in the SP prime implicants keeps the
+            // guarantee that an SPP form is never worse than the SP form
+            // ("in the worst case, SP and SPP forms coincide" — paper §1)
+            // even under a budget, in every family.
+            let known: HashSet<&Pseudocube> = candidates.iter().collect();
+            let extra: Vec<Pseudocube> = spp_sp::prime_implicants(f)
+                .iter()
+                .map(Pseudocube::from_cube)
+                .filter(|pc| !known.contains(pc))
+                .collect();
+            candidates.extend(extra);
+        }
+        if max_factor_literals.is_some() {
+            // The width filter can drop the pseudoproducts that covered
+            // some minterms (their EPPP substitutes may be wide); single
+            // points always conform, so re-add any uncovered ones.
+            for point in f.on_set() {
+                if !candidates.iter().any(|pc| pc.contains(point)) {
+                    candidates.push(Pseudocube::from_point(*point));
                 }
             }
-            set
         }
-    };
-    let mut outcome = eppp.stats.outcome;
-    let mut candidates = eppp.pseudocubes;
-    if eppp.stats.truncated {
-        // A truncated run may have lost the high-degree pseudoproducts the
-        // minimum needs. Cubes are pseudoproducts, so folding in the SP
-        // prime implicants keeps the guarantee that an SPP form is never
-        // worse than the SP form ("in the worst case, SP and SPP forms
-        // coincide" — paper §1) even under a budget.
-        let known: std::collections::HashSet<&Pseudocube> = candidates.iter().collect();
-        let extra: Vec<Pseudocube> = spp_sp::prime_implicants(f)
-            .iter()
-            .map(Pseudocube::from_cube)
-            .filter(|pc| !known.contains(pc))
-            .collect();
-        candidates.extend(extra);
-    }
-    let gen_elapsed = gen_start.elapsed();
-    ctx.emit(Event::PhaseFinished {
-        phase: Phase::Generate,
-        wall: gen_elapsed,
-        outcome: eppp.stats.outcome,
+        let outcome = eppp.stats.outcome;
+        ((eppp.stats, candidates), outcome)
     });
-    let cover_start = std::time::Instant::now();
-    ctx.emit(Event::PhaseStarted { phase: Phase::Cover });
-    // A result for the same function under *different* options (say,
-    // different covering budgets) can't answer this key, but its terms are
-    // a known cover — seed the branch & bound with them.
-    let warm_terms = cache.and_then(|c| c.warm_form(f));
-    let (mut form, cover_optimal, cover_outcome) = cover_with_candidates_warm(
-        f,
-        &candidates,
-        &options.cover_limits,
-        options.gen_limits.parallelism,
+    let warm = cache.and_then(|c| Some((c, c.warm_form(f)?)));
+    let ((form, cover_optimal), cover_outcome, cover_elapsed) = cover_phase(
         ctx,
-        warm_terms.as_deref(),
-        cache,
+        options,
+        &candidates,
+        warm,
+        || on_set_problem(f, &candidates, options.gen_limits.parallelism),
+        |cover| {
+            let mut form = SppForm::new(f.num_vars(), cover.terms);
+            if gen_stats.truncated {
+                // Junk-heavy truncated pools can mislead the greedy cover;
+                // the SP minimum is always a valid SPP form, so never
+                // return worse.
+                let sp = sp_minimum(f, &options.cover_limits);
+                if sp.form.literal_count() < form.literal_count() {
+                    form = SppForm::from_sp(&sp.form);
+                }
+            }
+            (form, cover.optimal)
+        },
     );
-    outcome = outcome.merge(cover_outcome);
-    if eppp.stats.truncated {
-        // Junk-heavy truncated pools can mislead the greedy cover; the SP
-        // minimum is always a valid SPP form, so never return worse.
-        let sp = sp_minimum(f, &options.cover_limits);
-        if sp.form.literal_count() < form.literal_count() {
-            form = SppForm::from_sp(&sp.form);
-        }
-    }
-    let cover_elapsed = cover_start.elapsed();
-    ctx.emit(Event::PhaseFinished {
-        phase: Phase::Cover,
-        wall: cover_elapsed,
-        outcome: cover_outcome,
-    });
+    let outcome = gen_stats.outcome.merge(cover_outcome);
     let result = SppMinResult {
         form,
         num_candidates: candidates.len(),
-        optimal: cover_optimal && !eppp.stats.truncated && outcome.is_completed(),
-        gen_stats: eppp.stats,
+        optimal: cover_optimal && !gen_stats.truncated && outcome.is_completed(),
+        gen_stats,
         gen_elapsed,
         cover_elapsed,
         outcome,
-        rung: Rung::Exact,
+        rung: if max_factor_literals.is_none() { Rung::Exact } else { Rung::RestrictedExact },
         faults: ctx.faults(),
     };
     if let Some(cache) = cache {
@@ -250,37 +260,121 @@ pub(crate) fn exact_session_cached(
         // the form against `f` before storing).
         cache.put_result(f, options, &result, ctx);
     }
-    result
+    Ok(result)
 }
 
-/// Solves the minimum-literal covering of `f`'s ON-set by the given
-/// candidate pseudoproducts. Shared by the exact algorithm and the
-/// heuristic (steps 3 / 4 respectively).
-pub(crate) fn cover_with_candidates(
-    f: &BoolFn,
-    candidates: &[Pseudocube],
-    limits: &spp_cover::Limits,
-    parallelism: spp_par::Parallelism,
-    ctx: &RunCtx,
-) -> (SppForm, bool, Outcome) {
-    cover_with_candidates_warm(f, candidates, limits, parallelism, ctx, None, None)
+/// [`algorithm2_session`] on the unrestricted family, without a cache.
+#[cfg(test)]
+pub(crate) fn exact_session(f: &BoolFn, options: &SppOptions, ctx: &RunCtx) -> SppMinResult {
+    algorithm2_session(f, None, options, ctx, None).expect("no width to reject")
 }
 
-/// [`cover_with_candidates`] optionally seeded with the terms of a
-/// previously cached cover of the *same function*. The terms are mapped
-/// back to candidate indices; if every term is still among the candidates
-/// the selection covers the ON-set by construction and becomes the branch
-/// & bound's initial incumbent ([`solve_auto_warm`] re-validates and
-/// re-costs it anyway — defense in depth against a mismapped seed).
-pub(crate) fn cover_with_candidates_warm(
-    f: &BoolFn,
-    candidates: &[Pseudocube],
-    limits: &spp_cover::Limits,
-    parallelism: spp_par::Parallelism,
-    ctx: &RunCtx,
-    warm_terms: Option<&[Pseudocube]>,
+/// The unrestricted EPPP set of `f` through the cache. On a miss, in
+/// preference order: splice a near-duplicate sibling's cached generation
+/// levels (bit-identical to cold, far cheaper for small edits), else
+/// generate cold — capturing the levels so *this* function becomes a
+/// future splice donor.
+fn exact_eppp(f: &BoolFn, options: &SppOptions, ctx: &RunCtx, cache: Option<&SppCache>) -> EpppSet {
+    let mut levels = None;
+    let eppp = cached_eppp(cache, f, options.grouping, 0, ctx, || {
+        if let Some(set) = cache.and_then(|c| c.delta_eppp(f, ctx)) {
+            return set;
+        }
+        let mut capture = (cache.is_some() && f.num_vars() <= crate::delta::DELTA_MAX_VARS)
+            .then(|| LevelCapture::new(crate::delta::DELTA_CAPTURE_CAP));
+        let set = generate_eppp_session_capture(
+            f,
+            options.grouping,
+            &options.gen_limits,
+            &|_| true,
+            ctx,
+            capture.as_mut(),
+        );
+        levels = capture.filter(|c| !c.overflowed);
+        set
+    });
+    if let (Some(cache), Some(capture)) = (cache, levels) {
+        cache.put_levels(f, capture.levels, ctx);
+    }
+    eppp
+}
+
+/// EPPP generation through the cache: the cached set of output
+/// `output_index` of `f` answers, else `generate` runs and its set goes
+/// back in (the cache keeps only complete sets).
+pub(crate) fn cached_eppp(
     cache: Option<&SppCache>,
-) -> (SppForm, bool, Outcome) {
+    f: &BoolFn,
+    grouping: Grouping,
+    output_index: u32,
+    ctx: &RunCtx,
+    generate: impl FnOnce() -> EpppSet,
+) -> EpppSet {
+    let Some(cache) = cache else { return generate() };
+    if let Some(set) = cache.get_eppp(f, grouping, output_index, ctx) {
+        return set;
+    }
+    let set = generate();
+    cache.put_eppp(f, grouping, output_index, &set, ctx);
+    set
+}
+
+/// The answer of a covering step: the chosen columns, the candidates
+/// they stand for, and whether the search proved the choice minimal.
+pub(crate) struct Cover {
+    pub(crate) columns: Vec<usize>,
+    pub(crate) terms: Vec<Pseudocube>,
+    pub(crate) optimal: bool,
+}
+
+/// The covering phase shared by every SPP path (Algorithm 2 step 3,
+/// Algorithm 3 step 4 and the multi-output matrix), as one
+/// [`Phase::Cover`]: builds the caller's matrix (`build`, one column per
+/// candidate, in order), seeds the branch & bound with `warm` — the terms
+/// of a known cover of the same matrix, read from the cache — solves it
+/// on the session worker budget and hands the chosen candidates to
+/// `finish`. Returns `finish`'s value, the covering outcome and the
+/// phase's wall time.
+pub(crate) fn cover_phase<T>(
+    ctx: &RunCtx,
+    options: &SppOptions,
+    candidates: &[Pseudocube],
+    warm: Option<(&SppCache, Vec<Pseudocube>)>,
+    build: impl FnOnce() -> CoverProblem,
+    finish: impl FnOnce(Cover) -> T,
+) -> (T, Outcome, Duration) {
+    timed_phase(ctx, Phase::Cover, || {
+        let problem = build();
+        // If every warm term is still a candidate, the selection covers
+        // the matrix by construction and becomes the initial incumbent
+        // ([`solve_auto_warm`] re-validates and re-costs it anyway —
+        // defense in depth against a mismapped seed).
+        let warm = warm.and_then(|(cache, terms)| {
+            let index: HashMap<&Pseudocube, usize> =
+                candidates.iter().enumerate().map(|(c, pc)| (pc, c)).collect();
+            let columns: Vec<usize> =
+                terms.iter().map(|t| index.get(t).copied()).collect::<Option<_>>()?;
+            let cost = columns.iter().map(|&c| candidates[c].literal_count().max(1)).sum();
+            cache.note_warm_start(columns.len(), ctx);
+            Some(CoverSolution { columns, cost, optimal: false })
+        });
+        // The covering search fans out on the same session worker budget
+        // as generation (the result is thread-count-invariant, so this
+        // only changes speed).
+        let limits = options.cover_limits.clone().with_parallelism(options.gen_limits.parallelism);
+        let (solution, outcome) = solve_auto_warm(&problem, &limits, warm.as_ref(), ctx);
+        let terms = solution.columns.iter().map(|&c| candidates[c].clone()).collect();
+        (finish(Cover { columns: solution.columns, terms, optimal: solution.optimal }), outcome)
+    })
+}
+
+/// The single-output covering matrix: one row per ON-set minterm of `f`,
+/// one column per candidate, costing its literals.
+pub(crate) fn on_set_problem(
+    f: &BoolFn,
+    candidates: &[Pseudocube],
+    parallelism: spp_par::Parallelism,
+) -> CoverProblem {
     let on = f.on_set();
     let mut problem = CoverProblem::new(on.len());
     // The full-space pseudocube (tautology) has 0 literals; clamp so
@@ -289,25 +383,7 @@ pub(crate) fn cover_with_candidates_warm(
         let pc = &candidates[c];
         (rows_covered(on, pc), pc.literal_count().max(1))
     });
-    let warm = warm_terms.and_then(|terms| {
-        let index: std::collections::HashMap<&Pseudocube, usize> =
-            candidates.iter().enumerate().map(|(c, pc)| (pc, c)).collect();
-        let columns: Vec<usize> =
-            terms.iter().map(|t| index.get(t).copied()).collect::<Option<_>>()?;
-        let cost = columns.iter().map(|&c| candidates[c].literal_count().max(1)).sum();
-        Some(CoverSolution { columns, cost, optimal: false })
-    });
-    if let (Some(warm), Some(cache)) = (&warm, cache) {
-        cache.note_warm_start(warm.columns.len(), ctx);
-    }
-    // The covering search fans out on the same session worker budget as
-    // generation (the result is thread-count-invariant, so this only
-    // changes speed).
-    let limits = limits.clone().with_parallelism(parallelism);
-    let (solution, outcome) = solve_auto_warm(&problem, &limits, warm.as_ref(), ctx);
-    let terms: Vec<Pseudocube> =
-        solution.columns.iter().map(|&c| candidates[c].clone()).collect();
-    (SppForm::new(f.num_vars(), terms), solution.optimal, outcome)
+    problem
 }
 
 /// The ON-set row indices covered by `pc`, computed by whichever side is

@@ -7,11 +7,12 @@
 //! outputs reuse it — the sharing that PLA-style implementations exploit.
 
 use spp_boolfn::BoolFn;
-use spp_cover::{solve_auto_warm, CoverProblem, CoverSolution};
-use spp_obs::{Event, Outcome, Phase, RunCtx};
+use spp_cover::CoverProblem;
+use spp_obs::{Outcome, Phase, RunCtx};
 use spp_par::{par_map_indices, Parallelism};
 
 use crate::generate::generate_eppp_session;
+use crate::minimize::{cached_eppp, cover_phase, timed_phase};
 use crate::{EpppSet, Pseudocube, SppCache, SppError, SppForm, SppOptions};
 
 /// The outcome of [`crate::MultiMinimizer::run`].
@@ -43,6 +44,16 @@ impl MultiSppResult {
     }
 }
 
+/// [`multi_session_cached`] without a cache.
+#[cfg(test)]
+pub(crate) fn multi_session(
+    outputs: &[BoolFn],
+    options: &SppOptions,
+    ctx: &RunCtx,
+) -> Result<MultiSppResult, SppError> {
+    multi_session_cached(outputs, options, ctx, None)
+}
+
 /// The run-control-aware multi-output minimizer behind
 /// [`crate::MultiMinimizer::run`]: minimizes a multi-output function as
 /// SPP forms sharing pseudoproducts — generates per-output EPPP
@@ -55,23 +66,13 @@ impl MultiSppResult {
 /// for the fuse); deadline and plain cancellation behave as everywhere
 /// else, and the shared covering step polls the context on the calling
 /// thread.
-#[cfg(test)]
-pub(crate) fn multi_session(
-    outputs: &[BoolFn],
-    options: &SppOptions,
-    ctx: &RunCtx,
-) -> Result<MultiSppResult, SppError> {
-    multi_session_cached(outputs, options, ctx, None)
-}
-
-/// [`multi_session`] with an optional result cache: a verified
-/// whole-circuit hit returns immediately, each output's EPPP generation
-/// consults the per-output entries, and the shared covering step is
-/// warm-started from the shared pool of any cached whole-circuit result
-/// for the same outputs under different options (a feasible incumbent for
-/// the same `(output, minterm)` matrix; single-output covers remain
-/// unusable here since the shared matrix depends on the whole output
-/// set).
+///
+/// With a result cache, a verified whole-circuit hit returns immediately,
+/// each output's EPPP generation consults the per-output entries, and the
+/// shared covering step is warm-started from the shared pool of any
+/// cached whole-circuit result for the same outputs under different
+/// options (single-output covers are unusable here, since the shared
+/// matrix depends on the whole output set).
 pub(crate) fn multi_session_cached(
     outputs: &[BoolFn],
     options: &SppOptions,
@@ -91,133 +92,69 @@ pub(crate) fn multi_session_cached(
         }
     }
 
-    let gen_start = std::time::Instant::now();
-    ctx.emit(Event::PhaseStarted { phase: Phase::Generate });
-
     // Candidate pool: the union of the per-output EPPP sets. Outputs are
     // independent, so generation fans out across them; leftover workers go
     // to each output's own union sweep. The pool is merged in output order,
     // so the candidate list is identical at any thread count.
     let threads = options.gen_limits.parallelism.threads();
-    let outer = threads.min(outputs.len()).max(1);
-    let inner_limits = options
-        .gen_limits
-        .clone()
-        .with_parallelism(Parallelism::fixed((threads / outer).max(1)));
-    let per_output: Vec<EpppSet> = par_map_indices(outer, outputs.len(), |j| {
-        if let Some(cache) = cache {
-            if let Some(set) =
-                cache.get_eppp(&outputs[j], options.grouping, j as u32, ctx)
-            {
-                return set;
-            }
-            let set = generate_eppp_session(
-                &outputs[j],
-                options.grouping,
-                &inner_limits,
-                &|_| true,
-                ctx,
-            );
-            cache.put_eppp(&outputs[j], options.grouping, j as u32, &set, ctx);
-            return set;
-        }
-        generate_eppp_session(&outputs[j], options.grouping, &inner_limits, &|_| true, ctx)
-    });
-    let mut truncated = false;
-    let mut outcome = Outcome::Completed;
-    let mut pool: Vec<Pseudocube> = Vec::new();
-    let mut seen: std::collections::HashSet<Pseudocube> = std::collections::HashSet::new();
-    for eppp in per_output {
-        truncated |= eppp.stats.truncated;
-        outcome = outcome.merge(eppp.stats.outcome);
-        for pc in eppp.pseudocubes {
-            if seen.insert(pc.clone()) {
-                pool.push(pc);
-            }
-        }
-    }
-    ctx.emit(Event::PhaseFinished {
-        phase: Phase::Generate,
-        wall: gen_start.elapsed(),
-        outcome,
-    });
-
-    // Rows: (output, minterm) pairs.
-    let mut row_base = Vec::with_capacity(outputs.len());
-    let mut total_rows = 0usize;
-    for f in outputs {
-        row_base.push(total_rows);
-        total_rows += f.on_set().len();
-    }
-
-    // Columns: each candidate covers the pairs of every output it is an
-    // implicant of; literals are paid once per candidate. Candidates are
-    // independent, so implicant checks and row enumeration fan out; the
-    // columns are appended in pool order afterwards.
-    let mut problem = CoverProblem::new(total_rows);
-    let built: Vec<(Vec<usize>, Vec<usize>)> = par_map_indices(threads, pool.len(), |c| {
-        let pc = &pool[c];
-        let mut rows = Vec::new();
-        let mut valid = Vec::new();
-        for (j, f) in outputs.iter().enumerate() {
-            if !pc.points().all(|p| f.is_coverable(&p)) {
-                continue;
-            }
-            valid.push(j);
-            for (m, point) in f.on_set().iter().enumerate() {
-                if pc.contains(point) {
-                    rows.push(row_base[j] + m);
+    let ((pool, truncated), gen_outcome, _) = timed_phase(ctx, Phase::Generate, || {
+        let outer = threads.min(outputs.len()).max(1);
+        let inner_limits = options
+            .gen_limits
+            .clone()
+            .with_parallelism(Parallelism::fixed((threads / outer).max(1)));
+        let per_output: Vec<EpppSet> = par_map_indices(outer, outputs.len(), |j| {
+            let f = &outputs[j];
+            cached_eppp(cache, f, options.grouping, j as u32, ctx, || {
+                generate_eppp_session(f, options.grouping, &inner_limits, &|_| true, ctx)
+            })
+        });
+        let mut truncated = false;
+        let mut outcome = Outcome::Completed;
+        let mut pool: Vec<Pseudocube> = Vec::new();
+        let mut seen: std::collections::HashSet<Pseudocube> = std::collections::HashSet::new();
+        for eppp in per_output {
+            truncated |= eppp.stats.truncated;
+            outcome = outcome.merge(eppp.stats.outcome);
+            for pc in eppp.pseudocubes {
+                if seen.insert(pc.clone()) {
+                    pool.push(pc);
                 }
             }
         }
-        (rows, valid)
+        ((pool, truncated), outcome)
     });
-    let mut valid_outputs: Vec<Vec<usize>> = Vec::with_capacity(pool.len());
-    for (pc, (rows, valid)) in pool.iter().zip(built) {
-        valid_outputs.push(valid);
-        problem.add_column(&rows, pc.literal_count().max(1));
-    }
 
-    let cover_start = std::time::Instant::now();
-    ctx.emit(Event::PhaseStarted { phase: Phase::Cover });
-    // One covering instance for the whole circuit: give it the full session
-    // worker budget (the exact solver is thread-count-invariant).
-    let cover_limits =
-        options.cover_limits.clone().with_parallelism(options.gen_limits.parallelism);
-    // A whole-circuit result cached under *different* options can't answer
-    // the multi key, but its shared pool is a known feasible cover of this
-    // matrix — seed the branch & bound with it (solve_auto_warm
-    // re-validates and re-costs the incumbent anyway).
-    let warm = cache.and_then(|c| c.warm_multi(outputs)).and_then(|shared| {
-        let index: std::collections::HashMap<&Pseudocube, usize> =
-            pool.iter().enumerate().map(|(c, pc)| (pc, c)).collect();
-        let columns: Vec<usize> =
-            shared.iter().map(|t| index.get(t).copied()).collect::<Option<_>>()?;
-        let cost = columns.iter().map(|&c| pool[c].literal_count().max(1)).sum();
-        Some(CoverSolution { columns, cost, optimal: false })
-    });
-    if let (Some(warm), Some(cache)) = (&warm, cache) {
-        cache.note_warm_start(warm.columns.len(), ctx);
-    }
-    let (solution, cover_outcome) = solve_auto_warm(&problem, &cover_limits, warm.as_ref(), ctx);
-    outcome = outcome.merge(cover_outcome);
-    ctx.emit(Event::PhaseFinished {
-        phase: Phase::Cover,
-        wall: cover_start.elapsed(),
-        outcome: cover_outcome,
-    });
-    let shared_terms: Vec<Pseudocube> =
-        solution.columns.iter().map(|&c| pool[c].clone()).collect();
-    let shared_literal_count = shared_terms.iter().map(Pseudocube::literal_count).sum();
+    // One covering instance for the whole circuit, on the full session
+    // worker budget. A whole-circuit result cached under *different*
+    // options can't answer the multi key, but its shared pool is a known
+    // feasible cover of this matrix — it seeds the branch & bound.
+    let warm = cache.and_then(|c| Some((c, c.warm_multi(outputs)?)));
+    let mut valid_outputs = Vec::new();
+    let (cover, cover_outcome, _) = cover_phase(
+        ctx,
+        options,
+        &pool,
+        warm,
+        || {
+            let (problem, valid) = shared_problem(outputs, &pool, threads);
+            valid_outputs = valid;
+            problem
+        },
+        |cover| cover,
+    );
+    let outcome = gen_outcome.merge(cover_outcome);
+    let shared_literal_count = cover.terms.iter().map(Pseudocube::literal_count).sum();
 
     // Assemble per-output forms, dropping terms redundant for an output.
     let mut forms = Vec::with_capacity(outputs.len());
     for (j, f) in outputs.iter().enumerate() {
-        let mut terms: Vec<Pseudocube> = solution
+        let mut terms: Vec<Pseudocube> = cover
             .columns
             .iter()
-            .filter(|&&c| valid_outputs[c].contains(&j))
-            .map(|&c| pool[c].clone())
+            .zip(&cover.terms)
+            .filter(|(&c, _)| valid_outputs[c].contains(&j))
+            .map(|(_, t)| t.clone())
             .collect();
         // Keep only terms contributing uncovered minterms (cheapest-last
         // greedy prune keeps the forms tidy without changing the cost
@@ -249,9 +186,9 @@ pub(crate) fn multi_session_cached(
 
     let result = MultiSppResult {
         forms,
-        shared_terms,
         shared_literal_count,
-        optimal: solution.optimal && !truncated && outcome.is_completed(),
+        optimal: cover.optimal && !truncated && outcome.is_completed(),
+        shared_terms: cover.terms,
         outcome,
     };
     if let Some(cache) = cache {
@@ -260,6 +197,49 @@ pub(crate) fn multi_session_cached(
         cache.put_multi(outputs, options, &result, ctx);
     }
     Ok(result)
+}
+
+/// The shared covering matrix: one row per `(output, minterm)` pair, one
+/// column per pool candidate covering the pairs of every output it is an
+/// implicant of, its literals paid once. Also returns, per column, the
+/// outputs its candidate may feed.
+fn shared_problem(
+    outputs: &[BoolFn],
+    pool: &[Pseudocube],
+    threads: usize,
+) -> (CoverProblem, Vec<Vec<usize>>) {
+    let mut row_base = Vec::with_capacity(outputs.len());
+    let mut total_rows = 0usize;
+    for f in outputs {
+        row_base.push(total_rows);
+        total_rows += f.on_set().len();
+    }
+    // Candidates are independent, so implicant checks and row enumeration
+    // fan out; the columns are appended in pool order afterwards.
+    let mut problem = CoverProblem::new(total_rows);
+    let built: Vec<(Vec<usize>, Vec<usize>)> = par_map_indices(threads, pool.len(), |c| {
+        let pc = &pool[c];
+        let mut rows = Vec::new();
+        let mut valid = Vec::new();
+        for (j, f) in outputs.iter().enumerate() {
+            if !pc.points().all(|p| f.is_coverable(&p)) {
+                continue;
+            }
+            valid.push(j);
+            for (m, point) in f.on_set().iter().enumerate() {
+                if pc.contains(point) {
+                    rows.push(row_base[j] + m);
+                }
+            }
+        }
+        (rows, valid)
+    });
+    let mut valid_outputs: Vec<Vec<usize>> = Vec::with_capacity(pool.len());
+    for (pc, (rows, valid)) in pool.iter().zip(built) {
+        valid_outputs.push(valid);
+        problem.add_column(&rows, pc.literal_count().max(1));
+    }
+    (problem, valid_outputs)
 }
 
 #[cfg(test)]

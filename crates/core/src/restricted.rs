@@ -10,13 +10,16 @@
 //! - `k = 1` degenerates to plain SP minimization (factors are literals);
 //! - `k = 2` is the classical 2-SPP form;
 //! - `k ≥ n` places no restriction and agrees with full SPP.
+//!
+//! The minimizer itself is the Algorithm-2 session of the exact path
+//! ([`crate::Minimizer::run_restricted`]) run over the family this
+//! module's width test admits: a union whose canonical expression
+//! violates the bound is still *traversed* (it may lead to conforming
+//! pseudocubes of higher degree), while only conforming pseudocubes are
+//! offered to the covering step. Single points always conform, so the
+//! result is always a valid cover.
 
-use spp_boolfn::BoolFn;
-use spp_obs::{Event, Phase, RunCtx, Rung};
-
-use crate::generate::generate_eppp_session;
-use crate::minimize::{cover_with_candidates, sp_minimum};
-use crate::{GenLimits, Grouping, Pseudocube, SppError, SppForm, SppMinResult, SppOptions};
+use crate::Pseudocube;
 
 /// Whether every EXOR factor of the canonical expression of `pc` has at
 /// most `max_literals` literals.
@@ -57,119 +60,14 @@ pub fn factor_width_at_most(pc: &Pseudocube, max_literals: usize) -> bool {
     true
 }
 
-/// The run-control-aware restricted minimizer behind
-/// [`crate::Minimizer::run_restricted`]: minimizes `f` as a `k`-SPP form
-/// — an SPP form in which every EXOR factor has at most
-/// `max_factor_literals` literals (2 gives the classical 2-SPP form).
-///
-/// Candidate generation follows Algorithm 2, but a union whose canonical
-/// expression violates the width bound is still *traversed* (it may lead
-/// to conforming pseudocubes of higher degree) while only conforming
-/// pseudocubes are offered to the covering step. Single points always
-/// conform, so the result is always a valid cover. Checkpoint behaviour
-/// matches the exact pipeline: one counted checkpoint per generation
-/// level, sparse deadline/cancel polls in sweeps and the covering
-/// search.
-pub(crate) fn restricted_session(
-    f: &BoolFn,
-    max_factor_literals: usize,
-    options: &SppOptions,
-    ctx: &RunCtx,
-) -> Result<SppMinResult, SppError> {
-    if max_factor_literals == 0 {
-        return Err(SppError::ZeroFactorWidth);
-    }
-    let gen_start = std::time::Instant::now();
-    ctx.emit(Event::PhaseStarted { phase: Phase::Generate });
-    let eppp = generate_eppp_session(
-        f,
-        options.grouping,
-        &options.gen_limits,
-        &|pc| factor_width_at_most(pc, max_factor_literals),
-        ctx,
-    );
-    let mut outcome = eppp.stats.outcome;
-    let mut candidates: Vec<Pseudocube> = eppp.pseudocubes;
-    if eppp.stats.truncated {
-        // Cubes have width-1 factors, so the SP prime implicants always
-        // conform: fold them in so a truncated run never loses to SP.
-        let known: std::collections::HashSet<&Pseudocube> = candidates.iter().collect();
-        let extra: Vec<Pseudocube> = spp_sp::prime_implicants(f)
-            .iter()
-            .map(Pseudocube::from_cube)
-            .filter(|pc| !known.contains(pc))
-            .collect();
-        candidates.extend(extra);
-    }
-    // The width filter can drop the pseudoproducts that covered some
-    // minterms (their EPPP substitutes may be wide); single points always
-    // conform, so re-add any uncovered ones.
-    for point in f.on_set() {
-        if !candidates.iter().any(|pc| pc.contains(point)) {
-            candidates.push(Pseudocube::from_point(*point));
-        }
-    }
-    let gen_elapsed = gen_start.elapsed();
-    ctx.emit(Event::PhaseFinished {
-        phase: Phase::Generate,
-        wall: gen_elapsed,
-        outcome: eppp.stats.outcome,
-    });
-    let cover_start = std::time::Instant::now();
-    ctx.emit(Event::PhaseStarted { phase: Phase::Cover });
-    let (mut form, cover_optimal, cover_outcome) = cover_with_candidates(
-        f,
-        &candidates,
-        &options.cover_limits,
-        options.gen_limits.parallelism,
-        ctx,
-    );
-    outcome = outcome.merge(cover_outcome);
-    if eppp.stats.truncated {
-        // As in the unrestricted minimizer: never return worse than SP.
-        let sp = sp_minimum(f, &options.cover_limits);
-        if sp.form.literal_count() < form.literal_count() {
-            form = SppForm::from_sp(&sp.form);
-        }
-    }
-    let cover_elapsed = cover_start.elapsed();
-    ctx.emit(Event::PhaseFinished {
-        phase: Phase::Cover,
-        wall: cover_elapsed,
-        outcome: cover_outcome,
-    });
-    Ok(SppMinResult {
-        form,
-        num_candidates: candidates.len(),
-        optimal: cover_optimal && !eppp.stats.truncated && outcome.is_completed(),
-        gen_stats: eppp.stats,
-        gen_elapsed,
-        cover_elapsed,
-        outcome,
-        rung: Rung::RestrictedExact,
-        faults: ctx.faults(),
-    })
-}
-
-/// Sanity default used by the harness: generation budget for restricted
-/// sweeps mirrors the unrestricted default.
-#[must_use]
-pub fn restricted_default_limits() -> GenLimits {
-    GenLimits::default()
-}
-
-/// The grouping used by restricted sweeps (same as the default).
-#[must_use]
-pub fn restricted_default_grouping() -> Grouping {
-    Grouping::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minimize::exact_session;
-    use crate::SppForm;
+    use crate::minimize::{algorithm2_session, exact_session};
+    use crate::{GenLimits, SppError, SppForm, SppMinResult, SppOptions};
+    use spp_boolfn::BoolFn;
     use spp_gf2::Gf2Vec;
+    use spp_obs::RunCtx;
     use spp_sp::minimize_sp;
 
     fn v(s: &str) -> Gf2Vec {
@@ -177,7 +75,7 @@ mod tests {
     }
 
     fn minimize_spp_restricted(f: &BoolFn, width: usize, options: &SppOptions) -> SppMinResult {
-        restricted_session(f, width, options, &RunCtx::default()).unwrap()
+        algorithm2_session(f, Some(width), options, &RunCtx::default(), None).unwrap()
     }
 
     fn minimize_2spp(f: &BoolFn, options: &SppOptions) -> SppMinResult {
@@ -267,8 +165,8 @@ mod tests {
     #[test]
     fn zero_width_is_an_error() {
         let f = BoolFn::from_indices(2, &[1]);
-        let err =
-            restricted_session(&f, 0, &SppOptions::default(), &RunCtx::default()).unwrap_err();
+        let err = algorithm2_session(&f, Some(0), &SppOptions::default(), &RunCtx::default(), None)
+            .unwrap_err();
         assert_eq!(err, SppError::ZeroFactorWidth);
     }
 }

@@ -27,9 +27,8 @@ use spp_sp::SpMinResult;
 
 use crate::generate::generate_eppp_session;
 use crate::heuristic::{heuristic_from_cover_session, heuristic_session};
-use crate::minimize::{exact_session_cached, sp_minimum};
+use crate::minimize::{algorithm2_session, cached_eppp, sp_minimum};
 use crate::multi::multi_session_cached;
-use crate::restricted::restricted_session;
 use crate::{
     EpppSet, GenLimits, Grouping, MultiSppResult, Pseudocube, SppCache, SppError, SppMinResult,
     SppOptions,
@@ -220,17 +219,9 @@ impl Minimizer<'_> {
     pub fn generate(&self) -> EpppSet {
         // Only the unrestricted set is cacheable: a `generate_where`
         // predicate is an arbitrary closure with no stable cache key.
-        if let Some(cache) = &self.cache {
-            if let Some(set) =
-                cache.get_eppp(self.f, self.options.grouping, 0, &self.ctx)
-            {
-                return set;
-            }
-            let set = self.generate_where(&|_| true);
-            cache.put_eppp(self.f, self.options.grouping, 0, &set, &self.ctx);
-            return set;
-        }
-        self.generate_where(&|_| true)
+        cached_eppp(self.cache.as_ref(), self.f, self.options.grouping, 0, &self.ctx, || {
+            self.generate_where(&|_| true)
+        })
     }
 
     /// [`Minimizer::generate`] restricted to a *conforming* family of
@@ -258,7 +249,8 @@ impl Minimizer<'_> {
     /// generation + minimum-literal covering).
     #[must_use]
     pub fn run_exact(&self) -> SppMinResult {
-        exact_session_cached(self.f, &self.options, &self.ctx, self.cache.as_ref())
+        algorithm2_session(self.f, None, &self.options, &self.ctx, self.cache.as_ref())
+            .expect("the unrestricted family has no width to reject")
     }
 
     /// Runs the incremental heuristic — the paper's **Algorithm 3**
@@ -301,7 +293,13 @@ impl Minimizer<'_> {
         &self,
         max_factor_literals: usize,
     ) -> Result<SppMinResult, SppError> {
-        let r = restricted_session(self.f, max_factor_literals, &self.options, &self.ctx)?;
+        let r = algorithm2_session(
+            self.f,
+            Some(max_factor_literals),
+            &self.options,
+            &self.ctx,
+            self.cache.as_ref(),
+        )?;
         if let Some(cache) = &self.cache {
             cache.put_warm_form(self.f, Rung::RestrictedExact, r.form.terms(), &self.ctx);
         }
@@ -332,7 +330,8 @@ impl Minimizer<'_> {
         let (r, _) = self.run_plan(&rungs, Pick::First, |rung| match rung {
             Rung::Exact => Some(self.run_exact()),
             Rung::RestrictedExact => {
-                restricted_session(self.f, 2, &self.options, &self.ctx).ok()
+                let cache = self.cache.as_ref();
+                algorithm2_session(self.f, Some(2), &self.options, &self.ctx, cache).ok()
             }
             _ => heuristic_session(self.f, 0, &self.options, &self.ctx).ok(),
         });
@@ -517,6 +516,15 @@ mod tests {
     use spp_obs::{Event, Outcome};
     use std::sync::Mutex;
 
+    /// An event sink keeping each event's JSON line.
+    struct Log(Mutex<Vec<String>>);
+
+    impl EventSink for Log {
+        fn emit(&self, event: &Event) {
+            self.0.lock().unwrap().push(event.to_json());
+        }
+    }
+
     #[test]
     fn builder_chain_configures_everything() {
         let f = BoolFn::from_truth_fn(3, |x| x.count_ones() % 2 == 1);
@@ -534,12 +542,6 @@ mod tests {
 
     #[test]
     fn session_events_cover_both_phases() {
-        struct Log(Mutex<Vec<String>>);
-        impl EventSink for Log {
-            fn emit(&self, event: &Event) {
-                self.0.lock().unwrap().push(event.to_json());
-            }
-        }
         let log = Arc::new(Log(Mutex::new(Vec::new())));
         let f = BoolFn::from_truth_fn(4, |x| x.count_ones() % 2 == 1);
         let r = Minimizer::new(&f).on_event(log.clone()).run_exact();
@@ -592,12 +594,6 @@ mod tests {
 
     #[test]
     fn impossible_hard_budget_descends_to_the_sp_fallback() {
-        struct Log(Mutex<Vec<String>>);
-        impl EventSink for Log {
-            fn emit(&self, event: &Event) {
-                self.0.lock().unwrap().push(event.to_json());
-            }
-        }
         let log = Arc::new(Log(Mutex::new(Vec::new())));
         let f = BoolFn::from_truth_fn(5, |x| x % 3 == 1);
         // One byte: every generating rung trips MemoryExceeded, only the
@@ -720,12 +716,6 @@ mod tests {
     /// stream with wall times masked.
     #[test]
     fn every_spp_pipeline_is_pinned() {
-        struct Log(Mutex<Vec<String>>);
-        impl EventSink for Log {
-            fn emit(&self, event: &Event) {
-                self.0.lock().unwrap().push(mask_wall_ms(&event.to_json()));
-            }
-        }
         let f = BoolFn::from_truth_fn(5, |x| x % 3 == 1 || x.count_ones() == 4);
         let g = BoolFn::from_truth_fn(5, |x| x % 3 == 1 && x & 0b100 != 0);
         let mut trace: Vec<String> = Vec::new();
@@ -739,7 +729,7 @@ mod tests {
                     "{name}: {} | candidates {} optimal {} outcome {} rung {}",
                     r.form, r.num_candidates, r.optimal, r.outcome, r.rung
                 )];
-                lines.extend(log.0.lock().unwrap().drain(..));
+                lines.extend(log.0.lock().unwrap().iter().map(|l| mask_wall_ms(l)));
                 lines
             };
             trace.extend(single("exact", &|m| m.run_exact()));
@@ -757,7 +747,7 @@ mod tests {
                 "multi: {} ; {} | optimal {} outcome {}",
                 r.forms[0], r.forms[1], r.optimal, r.outcome
             ));
-            trace.extend(log.0.lock().unwrap().drain(..));
+            trace.extend(log.0.lock().unwrap().iter().map(|l| mask_wall_ms(l)));
         }
         let expected: Vec<&str> = PINNED_PIPELINES.trim().lines().collect();
         for (i, (got, want)) in trace.iter().zip(&expected).enumerate() {

@@ -10,7 +10,8 @@
 # with warnings denied, a compile check of the feature-gated Criterion
 # bench targets, CLI smokes of the deadline- and memory-degradation
 # paths (the rung ladder alone and nested inside the form race), an adr4
-# smoke that every cover is proved optimal, a --cache-dir
+# smoke that every cover is proved optimal, adr4 smokes of the 2-SPP,
+# SPP_k heuristic and multi-output modes, a --cache-dir
 # round-trip smoke, a two-process shared --cache-dir
 # smoke (concurrent writers, bit-identical answers), a serve smoke
 # (daemon up, spp-loadgen drive, SIGINT drain), jq gates on the
@@ -73,6 +74,27 @@ if grep -F "[upper bound]" <<<"$ADR4_OUT"; then
   echo "ci: adr4 covers were not all proved optimal" >&2
   exit 1
 fi
+
+echo "==> CLI 2-SPP / heuristic / multi-output smokes (the shared SPP pipeline)"
+# 2-SPP runs the Algorithm-2 session on the width-2 family; its covers
+# must all be proved optimal too.
+TWO_SPP_OUT=$(./target/release/spp bench adr4 --2spp --threads 1 --quiet)
+TWO_SPP_LINES=$(grep -c "^adr4\[[0-4]\]: 2-SPP " <<<"$TWO_SPP_OUT" || true)
+if [ "$TWO_SPP_LINES" -ne 5 ]; then
+  echo "ci: expected 5 2-SPP lines, got $TWO_SPP_LINES" >&2
+  exit 1
+fi
+if grep -F "[upper bound]" <<<"$TWO_SPP_OUT"; then
+  echo "ci: adr4 2-SPP covers were not all proved optimal" >&2
+  exit 1
+fi
+HEURISTIC_LINES=$(./target/release/spp bench adr4 --heuristic 0 --threads 1 --quiet \
+  | grep -c "^adr4\[[0-4]\]: SPP_k " || true)
+if [ "$HEURISTIC_LINES" -ne 5 ]; then
+  echo "ci: expected 5 SPP_k lines, got $HEURISTIC_LINES" >&2
+  exit 1
+fi
+./target/release/spp bench adr4 --multi --threads 1 --quiet | grep "^multi-output SPP:" >/dev/null
 
 echo "==> CLI memory smoke (--mem-budget-mb 1 must land on a lower rung)"
 ./target/release/spp bench adr4 --mem-budget-mb 1 --quiet --threads 2 \
