@@ -10,7 +10,8 @@
 # with warnings denied, a compile check of the feature-gated Criterion
 # bench targets, CLI smokes of the deadline- and memory-degradation
 # paths (the rung ladder alone and nested inside the form race), an adr4
-# smoke that every cover is proved optimal, adr4 smokes of the 2-SPP,
+# smoke that every cover is proved optimal, a determinism smoke (two
+# --threads 1 runs of adr4 and root, diffed), adr4 smokes of the 2-SPP,
 # SPP_k heuristic and multi-output modes, a --cache-dir
 # round-trip smoke, a two-process shared --cache-dir
 # smoke (concurrent writers, bit-identical answers), a serve smoke
@@ -74,6 +75,20 @@ if grep -F "[upper bound]" <<<"$ADR4_OUT"; then
   echo "ci: adr4 covers were not all proved optimal" >&2
   exit 1
 fi
+
+echo "==> CLI determinism smoke (two --threads 1 runs: identical answers and events)"
+# root[3]'s generation stops on the union budget mid-level, so the set it
+# keeps depends on the order in which the one-worker sweep visits pairs.
+for BENCH in adr4 root; do
+  for RUN in a b; do
+    ./target/release/spp bench "$BENCH" --threads 1 --quiet \
+      --events-json "/tmp/spp-ci-det-$RUN.events" >"/tmp/spp-ci-det-$RUN.out"
+    sed -E -i 's/"wall_ms":[0-9.]+/"wall_ms":0/g' "/tmp/spp-ci-det-$RUN.events"
+  done
+  diff /tmp/spp-ci-det-a.out /tmp/spp-ci-det-b.out
+  diff /tmp/spp-ci-det-a.events /tmp/spp-ci-det-b.events
+done
+rm -f /tmp/spp-ci-det-a.out /tmp/spp-ci-det-b.out /tmp/spp-ci-det-a.events /tmp/spp-ci-det-b.events
 
 echo "==> CLI 2-SPP / heuristic / multi-output smokes (the shared SPP pipeline)"
 # 2-SPP runs the Algorithm-2 session on the width-2 family; its covers

@@ -8,10 +8,11 @@
 //! and starts from a clean slate.
 //!
 //! Site cheat-sheet (where each failpoint fires):
-//! - `generate.worker` / `generate.shard`: inside generation worker
-//!   threads — isolated by `catch_unwind`, only reached at ≥ 2 threads
-//!   (one thread takes the sequential sweep). `generate.shard` fires
-//!   *while the shard mutex is held*, so a panic there poisons the lock.
+//! - `generate.worker`: at the start of every generation worker, at any
+//!   thread count (one worker runs inline) — isolated by `catch_unwind`.
+//! - `generate.shard`: inside a worker, *while a shard mutex is held*, so
+//!   a panic there poisons the lock — reached only when several workers
+//!   share the arena (≥ 2 threads; one worker holds it for the sweep).
 //! - `cover.subtree`: inside branch-and-bound subtree workers — isolated.
 //! - `generate.level`, `cover.columns`, `heuristic.descent`: on the
 //!   session's own thread — NOT isolated; arm only with `Delay` or
@@ -54,19 +55,14 @@ fn generation_worker_panics_are_isolated() {
         let r = Minimizer::new(&f).threads(threads).run_exact();
         r.form.check_realizes(&f).expect("form must stay valid");
         assert_eq!(r.outcome, Outcome::Completed, "threads={threads}");
-        if threads == 1 {
-            // One thread takes the sequential sweep: no workers to kill.
-            assert!(r.faults.is_empty(), "threads=1 has no workers: {:?}", r.faults);
-        } else {
-            assert!(!r.faults.is_empty(), "threads={threads} must record the panic");
-            assert!(
-                r.faults.iter().all(|fault| fault.site == "generate.worker"),
-                "threads={threads}: {:?}",
-                r.faults
-            );
-            // Killed workers truncate generation, so optimality is waived.
-            assert!(!r.optimal, "threads={threads}");
-        }
+        assert!(!r.faults.is_empty(), "threads={threads} must record the panic");
+        assert!(
+            r.faults.iter().all(|fault| fault.site == "generate.worker"),
+            "threads={threads}: {:?}",
+            r.faults
+        );
+        // Killed workers truncate generation, so optimality is waived.
+        assert!(!r.optimal, "threads={threads}");
     }
 }
 
