@@ -2,7 +2,7 @@
 //! Algorithm 2, with three interchangeable grouping strategies and a
 //! deterministic parallel union sweep.
 //!
-//! # The arena sweep
+//! # Closed levels: each union built once
 //!
 //! Within a structure group `W`, the union of two members is canonical in
 //! closed form: `d = rep_i ⊕ rep_j` is already reduced modulo `W` (both
@@ -10,14 +10,34 @@
 //! pivot, the union's canonical representative is whichever of the two
 //! reps has bit `p` clear, and the union's reduced-echelon rows are `W`'s
 //! rows with `d` XORed into those that have bit `p` set, plus `d` itself
-//! at its sorted pivot position. [`UnionScratch`] computes all of that
-//! into reusable buffers — no per-pair allocation, no re-reduction, no
-//! rehash — and a digest of the canonical form keys a [`UnionArena`] that
-//! stores each **distinct** union exactly once, together with its cached
-//! conforming/literal-count verdict. Duplicate pairs (each distinct
-//! degree-`m+1` union is produced by up to `2^{m+1}−1` group pairs) cost
-//! one digest probe and one row comparison instead of a basis clone, a
-//! rehash and a fresh conforming evaluation.
+//! at its sorted pivot position.
+//!
+//! A degree-`m+1` union `U` with direction space `W'` arises from each of
+//! its `2^{m+1}−1` hyperplane splits. Exactly one of them is *canonical*:
+//! the split along `W = {v ∈ W' : v[p] = 0}` for `W'`'s highest pivot `p`.
+//! Seen from a pair of group `W`, the split is canonical iff `p` (the
+//! lowest bit of `d`) lies above every pivot of `W` and is clear in every
+//! row of `W`; the union's rows are then `W`'s rows plus `d`. (Reduced
+//! echelon form is unique, so no other hyperplane passes: it would give
+//! `W'` a different highest pivot or different first rows.)
+//!
+//! The exact generator's levels are *closed* — every sub-pseudocube of a
+//! member is a member (a complete level `m` holds every dimension-`m`
+//! affine subspace of `ON ∪ DC`, see the `delta` module; a truncated
+//! level is never swept). Both canonical halves of every union are then
+//! in the level, so a closed sweep builds each union at its canonical
+//! pair only, where it is new by construction: no digest, no index, no
+//! probe, no lock. Every other pair only decides discard flags, from the
+//! union's literal count computed by popcounts; the conforming predicate,
+//! if any, is evaluated on the materialized union only at pairs that can
+//! still set a flag.
+//!
+//! Open levels — the heuristic's ascent, seeded from a cover and its
+//! sub-pseudocubes — may miss a union's canonical halves, so they keep
+//! deduplicating: a digest of each pair's canonical union keys a
+//! [`UnionArena`] that stores each distinct union exactly once, together
+//! with its conforming verdict. [`UnionScratch`] computes either form
+//! into reusable registers, with no per-pair allocation.
 //!
 //! # Parallel execution
 //!
@@ -27,17 +47,19 @@
 //! [`GenLimits::parallelism`] workers, heaviest first; one worker runs
 //! inline on the calling thread and takes the units in canonical
 //! `(group, lo)` order, more run as scoped threads. Every worker runs the
-//! same pair loop, generic over where it deduplicates: one worker holds
-//! the whole arena exclusively (one lock for the sweep, one probe per
-//! pair), while several workers share arena shards keyed by the canonical
-//! union digest (each distinct union lands in exactly one mutex-guarded
-//! shard, so contention stays low and the produced-union counter counts
-//! every distinct union exactly once). Discard flags are worker-local,
-//! merged by OR — a flag is set iff *some* pair sets it, independent of
-//! the partition. The merged `next` level is sorted into canonical order,
-//! which makes a **non-truncated** run bit-identical at any thread count;
-//! comparison counts are derived from group sizes up front and are
-//! likewise identical.
+//! same pair loop, generic over where it keeps its unions. On a closed
+//! level each worker keeps the unions it builds in a local vector, and
+//! one shared counter of built unions enforces the union budget exactly.
+//! On an open level one worker holds the whole arena exclusively (one
+//! lock for the sweep, one probe per pair), while several workers share
+//! arena shards keyed by the canonical union digest (each distinct union
+//! lands in exactly one mutex-guarded shard, so contention stays low and
+//! the produced-union counter counts every distinct union exactly once).
+//! Discard flags are worker-local, merged by OR — a flag is set iff
+//! *some* pair sets it, independent of the partition. The merged `next`
+//! level is sorted into canonical order, which makes a **non-truncated**
+//! run bit-identical at any thread count; comparison counts are derived
+//! from group sizes up front and are likewise identical.
 //!
 //! Truncation is cooperative: a shared stop flag plus the exact global
 //! produced-union counter. The *decision* to truncate on the union budget
@@ -51,13 +73,13 @@
 
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::PoisonError;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use spp_boolfn::BoolFn;
-use spp_gf2::EchelonBasis;
+use spp_gf2::{EchelonBasis, Gf2Vec};
 use spp_obs::{Event, Outcome, RunCtx};
-use spp_par::{try_par_workers, Parallelism};
+use spp_par::{try_par_workers, Parallelism, WorkerPanic};
 
 use crate::{PartitionTrie, Pseudocube};
 
@@ -128,10 +150,13 @@ pub struct GenStats {
     pub total_generated: usize,
     /// Total pairwise comparisons across all steps.
     pub comparisons: u64,
-    /// Unions built by each worker thread, summed over all levels. Length
-    /// is the resolved worker count; index 0 is the only entry of a
-    /// sequential run. The total equals the number of unions examined, so
-    /// the spread shows how well the sweep balanced.
+    /// Same-structure pairs united by each worker thread, summed over all
+    /// levels. Length is the resolved worker count; index 0 is the only
+    /// entry of a sequential run. The total is the number of pairs
+    /// examined, whoever examined them, so the spread shows how well the
+    /// sweep balanced. It counts pairs, not distinct unions: each union of
+    /// degree `m+1` has `2^{m+1}−1` pairs, and a closed level builds it at
+    /// one of them only.
     pub thread_unions: Vec<u64>,
     /// Whether a resource limit stopped generation early (the EPPP set is
     /// then still a valid covering candidate set, but minimality claims
@@ -263,6 +288,11 @@ impl GenLimits {
     }
 }
 
+/// The conforming family a sweep generates for: `None` is every
+/// pseudoproduct, `Some(p)` those `p` accepts (see
+/// [`generate_eppp_session`]).
+pub(crate) type Conforming<'a> = Option<&'a (dyn Fn(&Pseudocube) -> bool + Sync)>;
+
 /// The extended prime pseudoproducts of a function, plus how they were
 /// obtained.
 #[derive(Clone, Debug)]
@@ -290,6 +320,7 @@ pub struct EpppSet {
 /// unions may lead back into the family) but never retained, and only a
 /// conforming union may discard its halves. The predicate must be
 /// `Sync`: workers call it concurrently when the sweep runs parallel.
+/// With `None` (the unrestricted family) no predicate is ever called.
 ///
 /// One *counted* checkpoint is consumed per degree level (on the calling
 /// thread, before the level's sweep), so
@@ -302,7 +333,7 @@ pub(crate) fn generate_eppp_session(
     f: &BoolFn,
     grouping: Grouping,
     limits: &GenLimits,
-    conforming: &(dyn Fn(&Pseudocube) -> bool + Sync),
+    conforming: Conforming,
     ctx: &RunCtx,
 ) -> EpppSet {
     generate_eppp_session_capture(f, grouping, limits, conforming, ctx, None)
@@ -354,7 +385,7 @@ pub(crate) fn generate_eppp_session_capture(
     f: &BoolFn,
     grouping: Grouping,
     limits: &GenLimits,
-    conforming: &(dyn Fn(&Pseudocube) -> bool + Sync),
+    conforming: Conforming,
     ctx: &RunCtx,
     mut capture: Option<&mut LevelCapture>,
 ) -> EpppSet {
@@ -406,7 +437,9 @@ pub(crate) fn generate_eppp_session_capture(
             if let Some(cap) = capture.as_deref_mut() {
                 cap.overflow();
             }
-            level.retain(|pc| conforming(pc));
+            if let Some(conforming) = conforming {
+                level.retain(|pc| conforming(pc));
+            }
             stats.levels.push(LevelStats {
                 degree,
                 size: level.len(),
@@ -426,7 +459,8 @@ pub(crate) fn generate_eppp_session_capture(
         let union_cap = limits
             .max_level_size
             .min(limits.max_pseudocubes.saturating_sub(stats.total_generated));
-        let outcome = sweep_level(&level, grouping, threads, union_cap, &ctx, conforming);
+        // Every level swept here is complete, hence closed (module docs).
+        let outcome = sweep_level(&level, grouping, threads, union_cap, &ctx, conforming, true);
         let mut discarded = outcome.discarded;
         if outcome.truncated {
             stats.truncated = true;
@@ -452,7 +486,7 @@ pub(crate) fn generate_eppp_session_capture(
 
         let mut kept = 0usize;
         for (pc, dropped) in level.iter().zip(&discarded) {
-            if !dropped && conforming(pc) {
+            if !dropped && conforming.is_none_or(|c| c(pc)) {
                 retained.push(pc.clone());
                 kept += 1;
             }
@@ -529,16 +563,15 @@ impl Digest128 {
     }
 }
 
-/// Reusable per-worker scratch holding the canonical identity of one
-/// union: its 128-bit digest, its literal count, and the ingredients
-/// (`d`, new pivot `p`, canonical rep) to rebuild the reduced rows when
-/// the union turns out to be new. `canonicalize` performs O(m) word
-/// XOR/popcount/fold operations entirely in registers — no buffer writes,
-/// no allocation.
+/// Reusable per-worker scratch holding one pair's union: the new basis
+/// row `d`, its pivot `p` and the canonical rep (from `split`), its
+/// literal count, and — where it is deduplicated — the 128-bit digest of
+/// its canonical form. Every step is O(m) word XOR/popcount/fold
+/// operations in registers — no buffer writes, no allocation.
 pub(crate) struct UnionScratch {
-    d: spp_gf2::Gf2Vec,
+    d: Gf2Vec,
     p: usize,
-    rep: spp_gf2::Gf2Vec,
+    rep: Gf2Vec,
     pub(crate) lit: u64,
     pub(crate) digest: u128,
 }
@@ -546,9 +579,9 @@ pub(crate) struct UnionScratch {
 impl Default for UnionScratch {
     fn default() -> Self {
         UnionScratch {
-            d: spp_gf2::Gf2Vec::from_u64(0, 0),
+            d: Gf2Vec::from_u64(0, 0),
             p: 0,
-            rep: spp_gf2::Gf2Vec::from_u64(0, 0),
+            rep: Gf2Vec::from_u64(0, 0),
             lit: 0,
             digest: 0,
         }
@@ -557,40 +590,54 @@ impl Default for UnionScratch {
 
 /// Folds the used words of `v` (those covering its length) into `dg`.
 #[inline]
-fn fold_words(dg: &mut Digest128, v: &spp_gf2::Gf2Vec, used_words: usize) {
+fn fold_words(dg: &mut Digest128, v: &Gf2Vec, used_words: usize) {
     let words = v.as_words();
     for &w in &words[..used_words] {
         dg.word(w);
     }
 }
 
+/// The literal count of an `n`-variable pseudocube of degree `m1` whose
+/// rows hold `ones` set bits in all: `(n − m1) + Σ over rows (ones − 1)`.
+#[inline]
+fn literals(n: usize, m1: u64, ones: u64) -> u64 {
+    (n as u64 - m1) + (ones - m1)
+}
+
 impl UnionScratch {
-    /// Computes the canonical identity of the union of two distinct
-    /// pseudocubes sharing structure `dirs`, given their canonical coset
-    /// representatives. The closed form (module docs): `d = rep_i ⊕
-    /// rep_j` is the new basis row, its lowest set bit `p` the new pivot,
-    /// the canonical rep is whichever input rep has bit `p` clear, and
-    /// the canonical rows are `dirs`'s rows with `d` XORed into those
-    /// that have bit `p` set, plus `d` at its sorted pivot position. The
-    /// rows are folded into the digest and the literal count on the fly
-    /// without being stored.
-    pub(crate) fn canonicalize(
-        &mut self,
-        dirs: &EchelonBasis,
-        rep_i: spp_gf2::Gf2Vec,
-        rep_j: spp_gf2::Gf2Vec,
-    ) {
+    /// Splits off the union of two distinct pseudocubes sharing a
+    /// structure, given their canonical coset representatives: `d = rep_i
+    /// ⊕ rep_j` is the new basis row, its lowest set bit `p` the new pivot,
+    /// and the canonical rep is whichever input rep has bit `p` clear.
+    #[inline]
+    fn split(&mut self, rep_i: Gf2Vec, rep_j: Gf2Vec) {
         let d = rep_i ^ rep_j;
         let p = d.lowest_set_bit().expect("same-structure distinct pseudocubes unite");
         // Exactly one of the two reps has bit `p` set; the other is the
         // union's canonical representative (zeros at every new pivot).
-        let rep = if rep_i.get(p) { rep_j } else { rep_i };
-        let n = rep.len();
+        self.rep = if rep_i.get(p) { rep_j } else { rep_i };
+        self.d = d;
+        self.p = p;
+    }
+
+    /// Computes the canonical identity of the union of two distinct
+    /// pseudocubes sharing structure `dirs`: [`split`](Self::split), then
+    /// [`fold`](Self::fold).
+    pub(crate) fn canonicalize(&mut self, dirs: &EchelonBasis, rep_i: Gf2Vec, rep_j: Gf2Vec) {
+        self.split(rep_i, rep_j);
+        self.fold(dirs);
+    }
+
+    /// Folds the split union's canonical rows into its digest and literal
+    /// count without storing them. The canonical rows (module docs) are
+    /// `dirs`'s rows with `d` XORed into those that have bit `p` set, plus
+    /// `d` at its sorted pivot position.
+    fn fold(&mut self, dirs: &EchelonBasis) {
+        let (d, p) = (self.d, self.p);
+        let n = d.len();
         let used_words = n.div_ceil(64);
         let mut dg = Digest128::new();
         dg.word(n as u64);
-        // Literal count of the union: (n − m') + Σ over rows (ones − 1).
-        let m1 = dirs.dim() as u64 + 1;
         let mut ones = u64::from(d.count_ones());
         let mut inserted = false;
         for (w, &q) in dirs.rows().iter().zip(dirs.pivots()) {
@@ -608,19 +655,28 @@ impl UnionScratch {
         if !inserted {
             fold_words(&mut dg, &d, used_words);
         }
-        fold_words(&mut dg, &rep, used_words);
-        self.d = d;
-        self.p = p;
-        self.rep = rep;
-        self.lit = (n as u64 - m1) + (ones - m1);
+        fold_words(&mut dg, &self.rep, used_words);
+        self.lit = literals(n, dirs.dim() as u64 + 1, ones);
         self.digest = dg.finish();
     }
 
-    /// Builds the union as a real [`Pseudocube`] through the trusted
-    /// constructors (one basis-digest recompute, no re-reduction). Called
-    /// once per *distinct* union; the canonical rows are rebuilt from
-    /// `dirs` and the stored `d`/`p` exactly as `canonicalize` folded
-    /// them.
+    /// The split union's literal count alone, from the popcounts of the
+    /// rows [`fold`](Self::fold) would fold.
+    #[inline]
+    fn count_literals(&mut self, dirs: &EchelonBasis) {
+        let (d, p) = (self.d, self.p);
+        let mut ones = u64::from(d.count_ones());
+        for w in dirs.rows() {
+            ones += u64::from(if w.get(p) { *w ^ d } else { *w }.count_ones());
+        }
+        self.lit = literals(d.len(), dirs.dim() as u64 + 1, ones);
+    }
+
+    /// Builds the split union as a real [`Pseudocube`] through the trusted
+    /// constructors (one basis-digest recompute, no re-reduction). The
+    /// canonical rows are rebuilt from `dirs` and the stored `d`/`p`
+    /// exactly as [`fold`](Self::fold) folds them; `lit` must already
+    /// hold the union's literal count.
     pub(crate) fn materialize(&self, dirs: &EchelonBasis) -> Pseudocube {
         let m = dirs.dim();
         let mut rows = Vec::with_capacity(m + 1);
@@ -663,13 +719,11 @@ impl std::hash::Hasher for DigestIndexHasher {
     }
 }
 
-/// Deduplicating store for one level's distinct unions: a digest-keyed
-/// index carrying each union's conforming verdict inline, plus the arena
-/// of materialized pseudocubes (insertion order; re-sorted canonically
-/// when the level is handed on). Replaces the former
-/// `HashSet<Pseudocube>` — same distinct set, but a duplicate pair costs
-/// one map probe instead of a basis clone, a rehash and a fresh
-/// conforming evaluation, and the probe returns the cached verdict.
+/// Deduplicating store for one open level's distinct unions: a
+/// digest-keyed index carrying each union's conforming verdict inline,
+/// plus the arena of materialized pseudocubes (insertion order; re-sorted
+/// canonically when the level is handed on). A duplicate pair costs one
+/// map probe, which returns the cached verdict.
 #[derive(Default)]
 struct UnionArena {
     index:
@@ -677,44 +731,131 @@ struct UnionArena {
     slots: Vec<Pseudocube>,
 }
 
-/// Where a sweep deduplicates its unions. The pair loop is generic over
-/// it, so each store gets its own monomorphized copy of the loop.
-trait UnionStore {
-    /// Distinct unions stored so far, by every worker of the sweep.
-    fn produced(&self) -> usize;
-
-    /// The conforming verdict of the union `u` holds. On the union's first
-    /// sighting it is materialized, evaluated, charged to the governor and
-    /// stored.
-    fn verdict(&mut self, u: &UnionScratch, dirs: &EchelonBasis, sweep: &Sweep) -> bool;
+/// One structure group as the per-pair step reads it, computed once per
+/// unit.
+struct Group<'a> {
+    dirs: &'a EchelonBasis,
+    /// The literal count every member shares (it depends on the structure
+    /// alone).
+    lit: u64,
+    /// One above the top pivot: a canonical split's `p` is at least this.
+    min_p: usize,
+    /// The OR of the rows: a canonical split's `p` is clear in it.
+    rows_or: Gf2Vec,
 }
 
-/// One worker's store: the whole arena, locked once for the sweep, one
-/// probe per pair.
+impl<'a> Group<'a> {
+    fn of(member: &'a Pseudocube) -> Self {
+        let dirs = member.structure();
+        let min_p = dirs.pivots().last().map_or(0, |&q| usize::from(q) + 1);
+        let rows_or = dirs.rows().iter().fold(Gf2Vec::zeros(member.num_vars()), |or, w| or | *w);
+        Group { dirs, lit: member.literal_count(), min_p, rows_or }
+    }
+
+    /// Whether a pair whose `d` has lowest set bit `p` is its union's
+    /// canonical split (module docs): `p` lies above every pivot and is
+    /// clear in every row.
+    #[inline]
+    fn is_canonical(&self, p: usize) -> bool {
+        p >= self.min_p && !self.rows_or.get(p)
+    }
+}
+
+/// Where a sweep keeps its unions. The pair loop is generic over it, so
+/// each store gets its own monomorphized copy of the loop.
+trait UnionStore {
+    /// Unions stored so far, by every worker of the sweep.
+    fn produced(&self) -> usize;
+
+    /// The store's side of the per-pair step, for a union of group `g`
+    /// split into `u`: keeps the union if it is new, and returns whether
+    /// it discards the pair's halves — it conforms and has at most `g.lit`
+    /// literals. `open` is false when this worker already discarded both
+    /// halves, so only keeping the union is left to do.
+    fn unite(&mut self, u: &mut UnionScratch, g: &Group, open: bool, sweep: &Sweep) -> bool;
+
+    /// The unions this worker keeps itself, to be merged into the next
+    /// level (an arena store leaves them in the arena).
+    fn into_built(self) -> Vec<Pseudocube>;
+}
+
+/// The store of a closed level: only a canonical pair builds its union,
+/// which is new by construction, so each worker keeps its unions in a
+/// local vector — no index, no probe, no lock — and one counter shared by
+/// the sweep's workers counts them.
+struct Closed<'a> {
+    built: Vec<Pseudocube>,
+    produced: &'a AtomicUsize,
+}
+
+impl<'a> Closed<'a> {
+    fn new(produced: &'a AtomicUsize) -> Self {
+        Closed { built: Vec::new(), produced }
+    }
+}
+
+impl UnionStore for Closed<'_> {
+    fn produced(&self) -> usize {
+        self.produced.load(Ordering::Relaxed)
+    }
+
+    fn unite(&mut self, u: &mut UnionScratch, g: &Group, open: bool, sweep: &Sweep) -> bool {
+        if !g.is_canonical(u.p) {
+            // The union is built at its canonical pair; this pair only
+            // decides flags, and does no work when neither can change.
+            if !open {
+                return false;
+            }
+            u.count_literals(g.dirs);
+            return u.lit <= g.lit && sweep.conforming.is_none_or(|c| c(&u.materialize(g.dirs)));
+        }
+        // The union's rows are `g`'s rows plus `d`.
+        u.lit = g.lit + u64::from(u.d.count_ones()) - 2;
+        let pc = u.materialize(g.dirs);
+        let discards = open && u.lit <= g.lit && sweep.conforms(&pc);
+        sweep.ctx.governor().charge(approx_pseudocube_bytes(&pc));
+        self.built.push(pc);
+        self.produced.fetch_add(1, Ordering::Relaxed);
+        discards
+    }
+
+    fn into_built(self) -> Vec<Pseudocube> {
+        self.built
+    }
+}
+
+/// One worker's store on an open level: the whole arena, locked once for
+/// the sweep, one probe per pair.
 impl UnionStore for &mut UnionArena {
     fn produced(&self) -> usize {
         self.slots.len()
     }
 
-    fn verdict(&mut self, u: &UnionScratch, dirs: &EchelonBasis, sweep: &Sweep) -> bool {
-        match self.index.entry(u.digest) {
+    fn unite(&mut self, u: &mut UnionScratch, g: &Group, _open: bool, sweep: &Sweep) -> bool {
+        u.fold(g.dirs);
+        let conforms = match self.index.entry(u.digest) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
-                let pc = u.materialize(dirs);
-                let conf = (sweep.conforming)(&pc);
+                let pc = u.materialize(g.dirs);
+                let conforms = sweep.conforms(&pc);
                 sweep.ctx.governor().charge(approx_pseudocube_bytes(&pc));
                 self.slots.push(pc);
-                *e.insert(conf)
+                *e.insert(conforms)
             }
-        }
+        };
+        conforms && u.lit <= g.lit
+    }
+
+    fn into_built(self) -> Vec<Pseudocube> {
+        Vec::new()
     }
 }
 
-/// The store of several workers: arena shards keyed by the union digest,
-/// so each distinct union lands in exactly one mutex-guarded shard, plus
-/// the exact global count of distinct unions.
+/// The store of several workers on an open level: arena shards keyed by
+/// the union digest, so each distinct union lands in exactly one
+/// mutex-guarded shard, plus the exact global count of distinct unions.
 struct Sharded<'a> {
-    shards: &'a [std::sync::Mutex<UnionArena>],
+    shards: &'a [Mutex<UnionArena>],
     produced: &'a AtomicUsize,
 }
 
@@ -723,7 +864,8 @@ impl UnionStore for Sharded<'_> {
         self.produced.load(Ordering::Relaxed)
     }
 
-    fn verdict(&mut self, u: &UnionScratch, dirs: &EchelonBasis, sweep: &Sweep) -> bool {
+    fn unite(&mut self, u: &mut UnionScratch, g: &Group, _open: bool, sweep: &Sweep) -> bool {
+        u.fold(g.dirs);
         let shard = &self.shards[(u.digest as u64 % self.shards.len() as u64) as usize];
         let cached = {
             let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
@@ -731,39 +873,59 @@ impl UnionStore for Sharded<'_> {
             sweep.ctx.failpoint("generate.shard");
             shard.index.get(&u.digest).copied()
         };
-        if let Some(conf) = cached {
-            return conf;
-        }
-        // First sighting: materialize and evaluate *outside* the lock (the
-        // conforming predicate can enumerate 2^{m+1} points), then insert.
-        // A racing worker that stored the union first computed the same
-        // verdict, so only the first pseudocube is kept and counted.
-        let pc = u.materialize(dirs);
-        let conf = (sweep.conforming)(&pc);
-        let bytes = approx_pseudocube_bytes(&pc);
-        let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        if shard.index.insert(u.digest, conf).is_none() {
-            shard.slots.push(pc);
-            drop(shard);
-            self.produced.fetch_add(1, Ordering::Relaxed);
-            sweep.ctx.governor().charge(bytes);
-        }
-        conf
+        let conforms = cached.unwrap_or_else(|| {
+            // First sighting: materialize and evaluate *outside* the lock
+            // (a predicate can enumerate 2^{m+1} points), then insert. A
+            // racing worker that stored the union first computed the same
+            // verdict, so only the first pseudocube is kept and counted.
+            let pc = u.materialize(g.dirs);
+            let conforms = sweep.conforms(&pc);
+            let bytes = approx_pseudocube_bytes(&pc);
+            let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            if shard.index.insert(u.digest, conforms).is_none() {
+                shard.slots.push(pc);
+                drop(shard);
+                self.produced.fetch_add(1, Ordering::Relaxed);
+                sweep.ctx.governor().charge(bytes);
+            }
+            conforms
+        });
+        conforms && u.lit <= g.lit
+    }
+
+    fn into_built(self) -> Vec<Pseudocube> {
+        Vec::new()
     }
 }
 
 /// What every worker of one level's sweep reads.
 struct Sweep<'a> {
     level: &'a [Pseudocube],
-    lits: Vec<u64>,
     union_cap: usize,
     ctx: &'a RunCtx,
-    conforming: &'a (dyn Fn(&Pseudocube) -> bool + Sync),
+    conforming: Conforming<'a>,
 }
 
-/// What a worker hands back: its discard flags, the unions it examined and
-/// whether the sweep stopped early.
-type WorkerOut = (Vec<bool>, u64, bool);
+impl Sweep<'_> {
+    /// Whether `pc` belongs to the conforming family. Only a conforming
+    /// union may discard its halves; otherwise e.g. 2-SPP would lose
+    /// conforming pseudocubes to wide ones.
+    fn conforms(&self, pc: &Pseudocube) -> bool {
+        self.conforming.is_none_or(|c| c(pc))
+    }
+}
+
+/// What a worker hands back.
+struct WorkerOut {
+    /// Its discard flags, one per level member.
+    discarded: Vec<bool>,
+    /// The pairs it united.
+    unions: u64,
+    /// The unions it keeps itself (see [`UnionStore::into_built`]).
+    built: Vec<Pseudocube>,
+    /// Whether the sweep stopped early.
+    stopped: bool,
+}
 
 /// One worker's side of a sweep: its store, scratch, discard flags and
 /// counters.
@@ -791,25 +953,24 @@ impl<'a, S: UnionStore> PairLoop<'a, S> {
             || (self.ops.is_multiple_of(64) && self.sweep.ctx.stop_reason().is_some())
     }
 
-    /// The per-pair step: unites `level[i]` and `level[j]` (both of
-    /// structure `dirs`), stores the union and marks the halves it
+    /// The per-pair step: unites `level[i]` and `level[j]` (both of group
+    /// `g`), hands the union to the store and marks the halves it
     /// discards.
     #[inline]
-    fn unite(&mut self, dirs: &EchelonBasis, i: usize, j: usize) {
-        let (level, lits) = (self.sweep.level, &self.sweep.lits);
-        self.scratch.canonicalize(dirs, level[i].rep(), level[j].rep());
+    fn unite(&mut self, g: &Group, i: usize, j: usize) {
+        let level = self.sweep.level;
+        self.scratch.split(level[i].rep(), level[j].rep());
         self.unions += 1;
-        // Only a union the family can actually use may discard its halves;
-        // otherwise e.g. 2-SPP would lose conforming pseudocubes to wide
-        // ones.
-        if self.store.verdict(&self.scratch, dirs, self.sweep) {
-            if self.scratch.lit <= lits[i] {
-                self.discarded[i] = true;
-            }
-            if self.scratch.lit <= lits[j] {
-                self.discarded[j] = true;
-            }
+        let open = !self.discarded[i] || !self.discarded[j];
+        if self.store.unite(&mut self.scratch, g, open, self.sweep) {
+            self.discarded[i] = true;
+            self.discarded[j] = true;
         }
+    }
+
+    fn finish(self, stopped: bool) -> WorkerOut {
+        let built = self.store.into_built();
+        WorkerOut { discarded: self.discarded, unions: self.unions, built, stopped }
     }
 
     /// Unites every pair of `units`, in order, until this worker's budget
@@ -817,18 +978,18 @@ impl<'a, S: UnionStore> PairLoop<'a, S> {
     fn run(mut self, groups: &[Vec<u32>], units: &[Unit], stop: &AtomicBool) -> WorkerOut {
         for unit in units {
             let group = &groups[unit.group as usize];
-            let dirs = self.sweep.level[group[0] as usize].structure();
+            let g = Group::of(&self.sweep.level[group[0] as usize]);
             for a in unit.lo as usize..unit.hi as usize {
                 if stop.load(Ordering::Relaxed) || self.over_budget() {
                     stop.store(true, Ordering::Relaxed);
-                    return (self.discarded, self.unions, true);
+                    return self.finish(true);
                 }
                 for &j in &group[a + 1..] {
-                    self.unite(dirs, group[a] as usize, j as usize);
+                    self.unite(&g, group[a] as usize, j as usize);
                 }
             }
         }
-        (self.discarded, self.unions, false)
+        self.finish(false)
     }
 }
 
@@ -844,31 +1005,41 @@ pub(crate) struct SweepOutcome {
     pub(crate) groups: usize,
     /// Whether the sweep hit the union budget or the deadline.
     pub(crate) truncated: bool,
-    /// Unions examined per worker (length = workers used).
+    /// Pairs united per worker (length = workers used).
     pub(crate) thread_unions: Vec<u64>,
 }
 
 /// Unites all same-structure pairs of `level`, producing the deduplicated
 /// next level, discard flags, and counters. Shared by the exact generator
-/// and the heuristic's ascendant phase. Trie and hash-map groupings run
-/// the one unit-planned sweep of the module docs at any thread count; the
-/// quadratic baseline scans all pairs itself and sends each unifiable one
-/// through the same per-pair step. `union_cap` bounds the number of
-/// distinct unions produced (exactly, at any thread count); the context's
-/// deadline and cancellation flag are sampled every 64 outer iterations,
-/// never consuming a counted checkpoint.
+/// and the heuristic's ascendant phase. `closed` says whether the level
+/// is closed under sub-pseudocubes (module docs): the exact generator's
+/// levels are, and build each union once at its canonical pair; the
+/// heuristic's are not, and deduplicate through the arena. Trie and
+/// hash-map groupings run the one unit-planned sweep of the module docs at
+/// any thread count; the quadratic baseline scans all pairs itself and
+/// sends each unifiable one through the same per-pair step. `union_cap`
+/// bounds the number of distinct unions produced (exactly, at any thread
+/// count); the context's deadline and cancellation flag are sampled every
+/// 64 outer iterations, never consuming a counted checkpoint.
 pub(crate) fn sweep_level(
     level: &[Pseudocube],
     grouping: Grouping,
     threads: usize,
     union_cap: usize,
     ctx: &RunCtx,
-    conforming: &(dyn Fn(&Pseudocube) -> bool + Sync),
+    conforming: Conforming,
+    closed: bool,
 ) -> SweepOutcome {
-    let lits = level.iter().map(Pseudocube::literal_count).collect();
-    let sweep = Sweep { level, lits, union_cap, ctx, conforming };
+    let sweep = Sweep { level, union_cap, ctx, conforming };
+    let produced = AtomicUsize::new(0);
     if grouping == Grouping::Quadratic {
-        return sweep_quadratic(&sweep);
+        let mut arena = UnionArena::default();
+        let (out, comparisons) = if closed {
+            sweep_quadratic(&sweep, Closed::new(&produced))
+        } else {
+            sweep_quadratic(&sweep, &mut arena)
+        };
+        return merge_workers(&sweep, vec![Ok(out)], vec![arena], comparisons, 0);
     }
 
     let mut comparisons = 0u64;
@@ -876,62 +1047,86 @@ pub(crate) fn sweep_level(
     let units = plan_units(&groups, threads * 4);
     let workers = threads.min(units.len()).max(1);
     let assignment = assign_units(units, workers);
-    let shards: Vec<std::sync::Mutex<UnionArena>> =
-        (0..workers).map(|_| std::sync::Mutex::new(UnionArena::default())).collect();
+    let shards: Vec<Mutex<UnionArena>> = if closed {
+        Vec::new()
+    } else {
+        (0..workers).map(|_| Mutex::new(UnionArena::default())).collect()
+    };
     let stop = AtomicBool::new(false);
-    let produced = AtomicUsize::new(0);
     // Workers run behind a panic-isolation boundary, one worker included:
     // a panicking worker (a bug, or an injected `generate.worker` /
-    // `generate.shard` fault) loses its own discards and counters, but
-    // every union it already deduplicated survives in the arena, a
-    // possibly-poisoned lock is recovered below, and the level is treated
-    // as truncated — keep-everything, so the valid-cover guarantee holds.
+    // `generate.shard` fault) loses its own discards and counters, and on
+    // a closed level the unions it built. On an open level every union it
+    // already deduplicated survives in the arena, and a possibly-poisoned
+    // lock is recovered below. Either way the level is treated as
+    // truncated — keep-everything, so the valid-cover guarantee holds.
     let outs = try_par_workers(workers, |w| {
         ctx.failpoint("generate.worker");
-        if workers == 1 {
+        let units = &assignment[w];
+        if closed {
+            PairLoop::new(&sweep, Closed::new(&produced)).run(&groups, units, &stop)
+        } else if workers == 1 {
             let mut arena = shards[0].lock().unwrap_or_else(PoisonError::into_inner);
-            PairLoop::new(&sweep, &mut *arena).run(&groups, &assignment[w], &stop)
+            PairLoop::new(&sweep, &mut *arena).run(&groups, units, &stop)
         } else {
             let store = Sharded { shards: &shards, produced: &produced };
-            PairLoop::new(&sweep, store).run(&groups, &assignment[w], &stop)
+            PairLoop::new(&sweep, store).run(&groups, units, &stop)
         }
     });
+    let arenas =
+        shards.into_iter().map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner));
+    merge_workers(&sweep, outs, arenas.collect(), comparisons, groups.len())
+}
 
+/// Merges one sweep's worker results and arenas into its outcome.
+fn merge_workers(
+    sweep: &Sweep,
+    outs: Vec<Result<WorkerOut, WorkerPanic>>,
+    arenas: Vec<UnionArena>,
+    comparisons: u64,
+    groups: usize,
+) -> SweepOutcome {
+    fn gather(next: &mut Vec<Pseudocube>, mut more: Vec<Pseudocube>) {
+        if next.is_empty() {
+            *next = more;
+        } else {
+            next.append(&mut more);
+        }
+    }
+    let mut next = Vec::new();
+    for arena in arenas {
+        gather(&mut next, arena.slots);
+    }
     let mut truncated = false;
     let mut discarded: Option<Vec<bool>> = None;
-    let mut thread_unions = vec![0u64; workers];
+    let mut thread_unions = vec![0u64; outs.len()];
     for (w, out) in outs.into_iter().enumerate() {
         match out {
-            Ok((flags, unions, stopped)) => {
-                truncated |= stopped;
-                thread_unions[w] = unions;
+            Ok(out) => {
+                truncated |= out.stopped;
+                thread_unions[w] = out.unions;
+                gather(&mut next, out.built);
                 // A flag is set iff *some* pair sets it, whoever swept it.
                 match &mut discarded {
-                    None => discarded = Some(flags),
-                    Some(d) => d.iter_mut().zip(flags).for_each(|(d, f)| *d |= f),
+                    None => discarded = Some(out.discarded),
+                    Some(d) => d.iter_mut().zip(out.discarded).for_each(|(d, f)| *d |= f),
                 }
             }
             Err(p) => {
                 truncated = true;
-                ctx.record_fault("generate.worker", &p.message);
+                sweep.ctx.record_fault("generate.worker", &p.message);
             }
         }
-    }
-    let mut shards =
-        shards.into_iter().map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner).slots);
-    let mut next = shards.next().unwrap_or_default();
-    for mut slots in shards {
-        next.append(&mut slots);
     }
     next.sort_unstable();
     SweepOutcome {
         // The last pairs can push the count over the cap after the last
         // outer-index check.
-        truncated: truncated || next.len() > union_cap,
+        truncated: truncated || next.len() > sweep.union_cap,
         next,
-        discarded: discarded.unwrap_or_else(|| vec![false; level.len()]),
+        discarded: discarded.unwrap_or_else(|| vec![false; sweep.level.len()]),
         comparisons,
-        groups: groups.len(),
+        groups,
         thread_unions,
     }
 }
@@ -942,34 +1137,31 @@ pub(crate) fn sweep_level(
 /// `positions_eq` kernel over the cached structure hashes; candidates it
 /// surfaces are confirmed with the full structure comparison (hash
 /// collisions unite nothing). Both the unite order and the per-row
-/// comparison accounting are exactly the scalar loop's.
-fn sweep_quadratic(sweep: &Sweep) -> SweepOutcome {
+/// comparison accounting are exactly the scalar loop's. Returns the
+/// worker's result and the comparison count.
+fn sweep_quadratic<S: UnionStore>(sweep: &Sweep, store: S) -> (WorkerOut, u64) {
     let level = sweep.level;
-    let mut arena = UnionArena::default();
-    let mut pairs = PairLoop::new(sweep, &mut arena);
+    let mut pairs = PairLoop::new(sweep, store);
     let hashes: Vec<u64> = level.iter().map(|p| p.structure().structure_hash()).collect();
     let mut matches: Vec<u32> = Vec::new();
     let mut comparisons = 0u64;
-    let mut truncated = false;
     for i in 0..level.len() {
         if pairs.over_budget() {
-            truncated = true;
-            break;
+            return (pairs.finish(true), comparisons);
         }
         comparisons += (level.len() - 1 - i) as u64;
         matches.clear();
         spp_kernels::positions_eq(hashes[i], &hashes[i + 1..], &mut matches);
+        let mut group = None;
         for &off in &matches {
             let j = i + 1 + off as usize;
             if level[i].structure() == level[j].structure() {
-                pairs.unite(level[i].structure(), i, j);
+                let g = group.get_or_insert_with(|| Group::of(&level[i]));
+                pairs.unite(g, i, j);
             }
         }
     }
-    let PairLoop { discarded, unions, .. } = pairs;
-    let mut next = arena.slots;
-    next.sort_unstable();
-    SweepOutcome { next, discarded, comparisons, groups: 0, truncated, thread_unions: vec![unions] }
+    (pairs.finish(false), comparisons)
 }
 
 /// A contiguous outer-index slice of one structure group: the sweep work
@@ -1046,8 +1238,15 @@ fn group_indices(level: &[Pseudocube], grouping: Grouping, comparisons: &mut u64
         Grouping::PartitionTrie => {
             let n = level.first().map_or(0, Pseudocube::num_vars);
             let mut trie = PartitionTrie::new(n);
+            let mut node = 0;
             for (i, pc) in level.iter().enumerate() {
-                trie.insert(pc, i as u32);
+                // Same-structure members are adjacent in a sorted level:
+                // one path walk per group, not per member.
+                if i > 0 && pc.structure() == level[i - 1].structure() {
+                    trie.insert_at(node, pc, i as u32);
+                } else {
+                    node = trie.insert(pc, i as u32);
+                }
             }
             let groups: Vec<Vec<u32>> = trie
                 .groups()
@@ -1090,7 +1289,7 @@ mod tests {
     use std::collections::HashSet;
 
     fn generate(f: &BoolFn, g: Grouping, limits: &GenLimits) -> EpppSet {
-        generate_eppp_session(f, g, limits, &|_| true, &RunCtx::default())
+        generate_eppp_session(f, g, limits, None, &RunCtx::default())
     }
 
     fn eppp_of(f: &BoolFn, g: Grouping) -> EpppSet {
@@ -1321,7 +1520,7 @@ mod tests {
             .map(|&threads| {
                 let ctx = RunCtx::new().with_cancel(CancelToken::cancel_after_checkpoints(2));
                 let limits = GenLimits::default().with_parallelism(Parallelism::fixed(threads));
-                generate_eppp_session(&f, Grouping::PartitionTrie, &limits, &|_| true, &ctx)
+                generate_eppp_session(&f, Grouping::PartitionTrie, &limits, None, &ctx)
             })
             .collect();
         for eppp in &baseline {
@@ -1366,7 +1565,7 @@ mod tests {
             &f,
             Grouping::PartitionTrie,
             &GenLimits::default(),
-            &|_| true,
+            None,
             &ctx,
         );
         // Every fully swept level reports start and finish.
@@ -1395,9 +1594,9 @@ mod tests {
         // (extra, degree-2 level size = retained, retained-set length,
         // unions examined, digest of the retained set)
         let pins: [(usize, usize, usize, u64, u64); 3] = [
-            (50, 54, 915, 915, 0x022b_bc09_65bc_b985),
-            (200, 204, 1065, 1065, 0x5d8c_ddab_d8ab_2db1),
-            (400, 405, 1266, 1278, 0x8bd5_d0b4_fa58_8009),
+            (50, 52, 913, 1662, 0xb8b1_0c55_66c5_0074),
+            (200, 203, 1064, 2420, 0x5aaf_6bb4_1858_f702),
+            (400, 401, 1262, 3204, 0x8746_657f_aa54_ae97),
         ];
         for (extra, top, len, unions, digest) in pins {
             let limits = GenLimits::default()
@@ -1453,6 +1652,115 @@ mod tests {
             for _ in 0..4 {
                 let again = generate(&f, Grouping::HashMap, &limits);
                 assert_eq!(again.pseudocubes, first.pseudocubes, "extra = {extra}");
+            }
+        }
+    }
+
+    #[test]
+    fn closed_and_open_sweeps_agree_on_complete_levels() {
+        let width2 = |pc: &Pseudocube| crate::factor_width_at_most(pc, 2);
+        let width2: &(dyn Fn(&Pseudocube) -> bool + Sync) = &width2;
+        let ctx = RunCtx::default();
+        for f in [
+            BoolFn::from_truth_fn(5, |x| x % 3 != 0),
+            BoolFn::from_truth_fn(6, |x| x.count_ones() % 3 == 1 || x % 11 == 0),
+        ] {
+            // Every level from the points up, each complete (no cap).
+            let mut level: Vec<Pseudocube> =
+                f.on_set().iter().map(|&p| Pseudocube::from_point(p)).collect();
+            level.sort_unstable();
+            while !level.is_empty() {
+                let mut next = None;
+                for grouping in [Grouping::PartitionTrie, Grouping::HashMap, Grouping::Quadratic] {
+                    for threads in [1usize, 2, 4] {
+                        for conforming in [None, Some(width2)] {
+                            let sweep = |closed| {
+                                sweep_level(
+                                    &level, grouping, threads, usize::MAX, &ctx, conforming,
+                                    closed,
+                                )
+                            };
+                            let (closed, open) = (sweep(true), sweep(false));
+                            let what = format!(
+                                "{grouping:?}, {threads} threads, predicate {}, degree {}",
+                                conforming.is_some(),
+                                level[0].degree()
+                            );
+                            assert!(!closed.truncated && !open.truncated, "{what}");
+                            assert_eq!(closed.next, open.next, "{what}");
+                            assert_eq!(closed.discarded, open.discarded, "{what}");
+                            assert_eq!(closed.comparisons, open.comparisons, "{what}");
+                            assert_eq!(closed.thread_unions, open.thread_unions, "{what}");
+                            next.get_or_insert(closed.next);
+                        }
+                    }
+                }
+                level = next.expect("at least one sweep");
+            }
+        }
+    }
+
+    /// Checks, for the union `rep ⊕ W'`, that exactly one hyperplane split
+    /// passes the canonical test and builds the union from `W`'s rows plus
+    /// `d`, and that every split's popcount literal count is the union's.
+    fn assert_one_canonical_split(rep: Gf2Vec, space: &EchelonBasis) {
+        let union = Pseudocube::from_parts(rep, space.clone());
+        let mut canonical = 0;
+        for h in space.hyperplanes() {
+            let a = Pseudocube::from_parts(union.rep(), h.basis.clone());
+            let b = Pseudocube::from_parts(union.rep() ^ h.offset, h.basis);
+            let g = Group::of(&a);
+            let mut u = UnionScratch::default();
+            u.split(a.rep(), b.rep());
+            if g.is_canonical(u.p) {
+                canonical += 1;
+                u.lit = g.lit + u64::from(u.d.count_ones()) - 2;
+                let built = u.materialize(g.dirs);
+                assert_eq!(built, union);
+                assert_eq!(built.structure().rows()[..g.dirs.dim()], *g.dirs.rows());
+            }
+            u.count_literals(g.dirs);
+            assert_eq!(u.lit, union.literal_count(), "{union:?}");
+        }
+        assert_eq!(canonical, 1, "{union:?}");
+    }
+
+    #[test]
+    fn exactly_one_split_of_each_union_is_canonical() {
+        // Every nonzero subspace of GF(2)^4, at every coset.
+        let n = 4;
+        let mut spaces: Vec<EchelonBasis> = Vec::new();
+        for mask in 1u32..1 << 15 {
+            if mask.count_ones() <= 4 {
+                let span: Vec<Gf2Vec> = (0..15u64)
+                    .filter(|&i| (mask >> i) & 1 == 1)
+                    .map(|i| Gf2Vec::from_u64(n, i + 1))
+                    .collect();
+                let space = EchelonBasis::from_span(n, &span);
+                if !spaces.contains(&space) {
+                    spaces.push(space);
+                }
+            }
+        }
+        assert_eq!(spaces.len(), 15 + 35 + 15 + 1);
+        for space in &spaces {
+            for r in 0..1 << n {
+                assert_one_canonical_split(Gf2Vec::from_u64(n, r), space);
+            }
+        }
+        // Wider spaces of up to five dimensions in seven variables.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..40 {
+            let mut next = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                Gf2Vec::from_u64(7, x & 0x7f)
+            };
+            let span: Vec<Gf2Vec> = (0..5).map(|_| next()).collect();
+            let space = EchelonBasis::from_span(7, &span);
+            if space.dim() > 0 {
+                assert_one_canonical_split(next(), &space);
             }
         }
     }

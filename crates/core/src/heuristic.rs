@@ -207,7 +207,10 @@ fn candidate_pool(
                 threads,
                 options.gen_limits.max_pseudocubes.saturating_sub(generated),
                 ctx,
-                &|_| true,
+                None,
+                // Seeded from a cover, these levels need not hold a
+                // union's canonical halves: the sweep deduplicates.
+                false,
             )
         };
         if outcome_sweep.truncated {

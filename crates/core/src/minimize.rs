@@ -189,7 +189,7 @@ pub(crate) fn algorithm2_session(
                 f,
                 options.grouping,
                 &options.gen_limits,
-                &|pc| factor_width_at_most(pc, w),
+                Some(&|pc| factor_width_at_most(pc, w)),
                 ctx,
             ),
         };
@@ -286,7 +286,7 @@ fn exact_eppp(f: &BoolFn, options: &SppOptions, ctx: &RunCtx, cache: Option<&Spp
             f,
             options.grouping,
             &options.gen_limits,
-            &|_| true,
+            None,
             ctx,
             capture.as_mut(),
         );

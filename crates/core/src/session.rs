@@ -220,7 +220,13 @@ impl Minimizer<'_> {
         // Only the unrestricted set is cacheable: a `generate_where`
         // predicate is an arbitrary closure with no stable cache key.
         cached_eppp(self.cache.as_ref(), self.f, self.options.grouping, 0, &self.ctx, || {
-            self.generate_where(&|_| true)
+            generate_eppp_session(
+                self.f,
+                self.options.grouping,
+                &self.options.gen_limits,
+                None,
+                &self.ctx,
+            )
         })
     }
 
@@ -240,7 +246,7 @@ impl Minimizer<'_> {
             self.f,
             self.options.grouping,
             &self.options.gen_limits,
-            conforming,
+            Some(conforming),
             &self.ctx,
         )
     }

@@ -11,7 +11,8 @@
 # bench targets, CLI smokes of the deadline- and memory-degradation
 # paths (the rung ladder alone and nested inside the form race), an adr4
 # smoke that every cover is proved optimal, a determinism smoke (two
-# --threads 1 runs of adr4 and root, diffed), adr4 smokes of the 2-SPP,
+# --threads 1 runs of adr4 and root, diffed), a thread-count smoke
+# (adr4 and dist at --threads 1 and 2, diffed), adr4 smokes of the 2-SPP,
 # SPP_k heuristic and multi-output modes, a --cache-dir
 # round-trip smoke, a two-process shared --cache-dir
 # smoke (concurrent writers, bit-identical answers), a serve smoke
@@ -89,6 +90,24 @@ for BENCH in adr4 root; do
   diff /tmp/spp-ci-det-a.events /tmp/spp-ci-det-b.events
 done
 rm -f /tmp/spp-ci-det-a.out /tmp/spp-ci-det-b.out /tmp/spp-ci-det-a.events /tmp/spp-ci-det-b.events
+
+echo "==> CLI thread-count smoke (--threads 1 and 2: identical answers and events)"
+# Both runs are complete, so generation (one or two workers building each
+# union once, with no lock) must be bit-identical. The covering branch and
+# bound's per-subtree and improvement events interleave across its
+# workers, so those lines are left out of the event diff.
+for BENCH in adr4 dist; do
+  for T in 1 2; do
+    ./target/release/spp bench "$BENCH" --threads "$T" --quiet \
+      --events-json "/tmp/spp-ci-thr-$T.events" >"/tmp/spp-ci-thr-$T.out"
+    sed -E -i -e 's/"wall_ms":[0-9.]+/"wall_ms":0/g' \
+      -e '/"event":"cover_(subtree_started|subtree_finished|improved)"/d' \
+      "/tmp/spp-ci-thr-$T.events"
+  done
+  diff /tmp/spp-ci-thr-1.out /tmp/spp-ci-thr-2.out
+  diff /tmp/spp-ci-thr-1.events /tmp/spp-ci-thr-2.events
+done
+rm -f /tmp/spp-ci-thr-1.out /tmp/spp-ci-thr-2.out /tmp/spp-ci-thr-1.events /tmp/spp-ci-thr-2.events
 
 echo "==> CLI 2-SPP / heuristic / multi-output smokes (the shared SPP pipeline)"
 # 2-SPP runs the Algorithm-2 session on the width-2 family; its covers

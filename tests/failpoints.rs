@@ -11,8 +11,10 @@
 //! - `generate.worker`: at the start of every generation worker, at any
 //!   thread count (one worker runs inline) — isolated by `catch_unwind`.
 //! - `generate.shard`: inside a worker, *while a shard mutex is held*, so
-//!   a panic there poisons the lock — reached only when several workers
-//!   share the arena (≥ 2 threads; one worker holds it for the sweep).
+//!   a panic there poisons the lock — reached only where several workers
+//!   share a union arena: the heuristic's ascent at ≥ 2 threads (exact
+//!   generation builds each union once and locks nothing; one worker
+//!   holds the whole arena for its sweep).
 //! - `cover.subtree`: inside branch-and-bound subtree workers — isolated.
 //! - `generate.level`, `cover.columns`, `heuristic.descent`: on the
 //!   session's own thread — NOT isolated; arm only with `Delay` or
@@ -74,13 +76,14 @@ fn shard_panic_while_holding_the_lock_is_recovered() {
         failpoints::clear_all();
         // Let a few unions land, then panic *inside* the held shard lock:
         // the mutex is poisoned mid-insert and every later lock site (other
-        // workers, the merge) must recover rather than cascade.
+        // workers, the merge) must recover rather than cascade. The
+        // heuristic's ascent is the sweep that still shares an arena.
         failpoints::set_after(
             "generate.shard",
             3,
             FailAction::Panic("injected while holding the shard lock".into()),
         );
-        let r = Minimizer::new(&f).threads(threads).run_exact();
+        let r = Minimizer::new(&f).threads(threads).run_heuristic(0).expect("k = 0 < n");
         r.form.check_realizes(&f).expect("form must stay valid");
         assert_eq!(r.outcome, Outcome::Completed, "threads={threads}");
         assert!(!r.faults.is_empty(), "threads={threads} must record the panic");
