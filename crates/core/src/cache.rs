@@ -58,7 +58,7 @@ use spp_gf2::{EchelonBasis, Gf2Vec, MAX_BITS};
 use spp_obs::{Event, Form, Outcome, RunCtx, Rung};
 
 use crate::delta::{self, GenLevels};
-use crate::generate::approx_pseudocube_bytes;
+use crate::generate::{approx_pseudocube_bytes, approx_pseudocube_bytes_at, Level};
 use crate::verify::verify_cover;
 use crate::{
     EpppSet, GenStats, Grouping, MultiSppResult, Pseudocube, SppForm, SppMinResult, SppOptions,
@@ -416,7 +416,7 @@ impl SppCache {
     pub(crate) fn put_levels(
         &self,
         f: &BoolFn,
-        levels: Vec<(Vec<Pseudocube>, Vec<bool>)>,
+        levels: Vec<(Level, Vec<bool>)>,
         ctx: &RunCtx,
     ) {
         let Some((on_words, dc_words)) = delta::dense_bitmaps(f) else { return };
@@ -649,9 +649,14 @@ fn read_point(r: &mut Reader<'_>, n: usize) -> Option<Gf2Vec> {
 }
 
 fn put_pseudocube(out: &mut Vec<u8>, pc: &Pseudocube) {
-    put_u16(out, pc.degree() as u16);
-    put_point(out, &pc.rep());
-    for row in pc.structure().rows() {
+    put_parts(out, pc.structure(), &pc.rep());
+}
+
+/// Writes the pseudocube `rep ⊕ dirs`: its degree, rep and basis rows.
+fn put_parts(out: &mut Vec<u8>, dirs: &EchelonBasis, rep: &Gf2Vec) {
+    put_u16(out, dirs.dim() as u16);
+    put_point(out, rep);
+    for row in dirs.rows() {
         put_point(out, row);
     }
 }
@@ -723,10 +728,15 @@ impl CacheValue for Payload {
                     + m.forms.iter().map(|f| terms_bytes(f)).sum::<u64>()
             }
             Payload::Levels(l) => {
+                // The estimate of the level's members as pseudocubes.
                 (l.on_words.len() as u64 + l.dc_words.len() as u64) * 8
                     + l.levels
                         .iter()
-                        .map(|(terms, flags)| terms_bytes(terms) + flags.len() as u64 / 8)
+                        .map(|(level, flags)| {
+                            level.len() as u64 * approx_pseudocube_bytes_at(level.degree())
+                                + 24
+                                + flags.len() as u64 / 8
+                        })
                         .sum::<u64>()
             }
             Payload::Cubes(c) => c.cubes.len() as u64 * 32 + 24,
@@ -761,8 +771,12 @@ impl CacheValue for Payload {
                 put_words(out, &l.on_words);
                 put_words(out, &l.dc_words);
                 put_u64(out, l.levels.len() as u64);
-                for (terms, flags) in &l.levels {
-                    put_terms(out, terms);
+                for (level, flags) in &l.levels {
+                    // The same bytes as the level's members as terms.
+                    put_u64(out, level.len() as u64);
+                    for (_, dirs, rep) in level.members() {
+                        put_parts(out, dirs, &rep);
+                    }
                     // Discard flags, bit-packed (count is the term count).
                     let mut packed = vec![0u64; flags.len().div_ceil(64)];
                     for (i, &flag) in flags.iter().enumerate() {
@@ -827,9 +841,15 @@ impl CacheValue for Payload {
                 if level_count > num_vars + 1 {
                     return None; // deeper than the lattice itself
                 }
-                let levels: Vec<(Vec<Pseudocube>, Vec<bool>)> = (0..level_count)
-                    .map(|_| {
+                let levels: Vec<(Level, Vec<bool>)> = (0..level_count)
+                    .map(|degree| {
                         let terms = read_terms(&mut r, num_vars)?;
+                        // A level of the sweep: strictly sorted, of its
+                        // degree.
+                        let sorted = terms.windows(2).all(|w| w[0] < w[1]);
+                        if !sorted || terms.iter().any(|pc| pc.degree() != degree) {
+                            return None;
+                        }
                         let mut flags = Vec::with_capacity(terms.len());
                         for chunk in 0..terms.len().div_ceil(64) {
                             let w = r.u64()?;
@@ -841,7 +861,7 @@ impl CacheValue for Payload {
                                 }
                             }
                         }
-                        Some((terms, flags))
+                        Some((Level::group(&terms), flags))
                     })
                     .collect::<Option<_>>()?;
                 Payload::Levels(GenLevels { num_vars, on_words, dc_words, levels })
@@ -931,6 +951,62 @@ mod tests {
             }
             other => panic!("wrong variant: {other:?}"),
         }
+    }
+
+    #[test]
+    fn level_snapshots_keep_the_term_layout_and_round_trip() {
+        // A cold capture: every level grouped, as the generator swept it.
+        let f = BoolFn::from_truth_fn(6, |x| x % 3 != 0 || x == 9);
+        let mut capture = crate::generate::LevelCapture::new(delta::DELTA_CAPTURE_CAP);
+        let set = crate::generate::generate_eppp_session_capture(
+            &f,
+            Grouping::PartitionTrie,
+            &crate::GenLimits::default(),
+            None,
+            &RunCtx::default(),
+            Some(&mut capture),
+        );
+        assert!(!set.stats.truncated && capture.levels.len() > 2);
+        let (on_words, dc_words) = delta::dense_bitmaps(&f).expect("narrow function");
+        let levels = GenLevels { num_vars: 6, on_words, dc_words, levels: capture.levels };
+        let payload = Payload::Levels(levels.clone());
+        let mut bytes = Vec::new();
+        payload.encode(&mut bytes);
+        // The bytes are those of each level's members written as terms,
+        // so snapshots stored before levels were held grouped still decode.
+        let mut expected = Vec::new();
+        put_u8(&mut expected, TAG_LEVELS);
+        put_u16(&mut expected, 6);
+        put_words(&mut expected, &levels.on_words);
+        put_words(&mut expected, &levels.dc_words);
+        put_u64(&mut expected, levels.levels.len() as u64);
+        for (level, flags) in &levels.levels {
+            put_terms(&mut expected, &level.pseudocubes().collect::<Vec<_>>());
+            for chunk in flags.chunks(64) {
+                let word = chunk.iter().enumerate().map(|(b, &x)| u64::from(x) << b).sum();
+                put_u64(&mut expected, word);
+            }
+        }
+        assert_eq!(bytes, expected);
+        match Payload::decode(&bytes) {
+            Some(Payload::Levels(back)) => assert_eq!(back.levels, levels.levels),
+            other => panic!("wrong decode: {other:?}"),
+        }
+        // A level out of canonical order is corrupt: swap the first two
+        // points (18-byte terms: degree, rep) after the header (tag,
+        // variable count, the two one-word bitmaps with their lengths,
+        // the level count, the points level's term count).
+        let first = 1 + 2 + 16 + 16 + 8 + 8;
+        let mut bad = bytes.clone();
+        let (a, b) = bad[first..first + 36].split_at_mut(18);
+        a.swap_with_slice(b);
+        assert!(Payload::decode(&bad).is_none());
+        // So is a level whose members are not of its degree.
+        let mut shifted = levels;
+        shifted.levels.remove(0);
+        let mut bad = Vec::new();
+        Payload::Levels(shifted).encode(&mut bad);
+        assert!(Payload::decode(&bad).is_none());
     }
 
     #[test]

@@ -55,13 +55,11 @@
 //! returns an error and the caller falls back to cold generation, so a
 //! delta answer is never weaker than a cold one.
 
-use std::collections::HashSet;
-
 use spp_boolfn::BoolFn;
-use spp_gf2::Gf2Vec;
+use spp_gf2::{EchelonBasis, Gf2Vec};
 use spp_obs::RunCtx;
 
-use crate::generate::UnionScratch;
+use crate::generate::{Group, Level, Run, UnionKey, UnionScratch};
 use crate::{EpppSet, GenStats, Pseudocube};
 
 /// Widest function eligible for level capture and delta reuse. Dense
@@ -97,10 +95,10 @@ pub(crate) struct GenLevels {
     pub(crate) on_words: Vec<u64>,
     /// Dense DC-set bitmap in the same layout.
     pub(crate) dc_words: Vec<u64>,
-    /// `(members, discard flags)` per degree, in degree order; members
-    /// are in canonical sorted order, exactly as the sweep handed them
+    /// `(members, discard flags)` per degree, in degree order; each level
+    /// is held grouped, in canonical order, exactly as the sweep handed it
     /// on.
-    pub(crate) levels: Vec<(Vec<Pseudocube>, Vec<bool>)>,
+    pub(crate) levels: Vec<(Level, Vec<bool>)>,
 }
 
 /// The result of a successful [`splice`].
@@ -108,7 +106,7 @@ pub(crate) struct DeltaOutcome {
     /// The spliced EPPP set — bit-identical to a cold exact generation.
     pub(crate) eppp: EpppSet,
     /// The new function's own level snapshot, ready to cache.
-    pub(crate) levels: Vec<(Vec<Pseudocube>, Vec<bool>)>,
+    pub(crate) levels: Vec<(Level, Vec<bool>)>,
     /// ON-set Hamming distance of the edit.
     pub(crate) distance: usize,
     /// Cached members dropped because they touched removed minterms.
@@ -222,11 +220,8 @@ pub(crate) fn splice(
     let mut budget = Budget { ops: 0 };
     let mut scratch = UnionScratch::default();
 
-    // Seed frontier: the added points, as degree-0 pseudocubes in
-    // canonical order.
-    let mut frontier: Vec<Pseudocube> =
-        added.iter().map(|&p| Pseudocube::from_point(p)).collect();
-    frontier.sort_unstable();
+    // Seed frontier: the added points, as the degree-0 level they form.
+    let mut frontier = Level::points(n, added);
 
     #[cfg(feature = "failpoints")]
     if spp_obs::failpoints::armed("delta.splice") {
@@ -234,17 +229,18 @@ pub(crate) fn splice(
         // the verification pass below must catch it. (Skip the injection
         // for total functions — no outside point exists.)
         if let Some(i) = (0..(1usize << n)).find(|&i| !bit(&v_new, i)) {
-            frontier.push(Pseudocube::from_point(Gf2Vec::from_u64(n, i as u64)));
-            frontier.sort_unstable();
+            let outside = Gf2Vec::from_u64(n, i as u64);
+            let points = frontier.reps().iter().copied().chain([outside]).collect();
+            frontier = Level::points(n, points);
         }
     }
 
     let mut dropped_total = 0usize;
     let mut spliced_total = 0usize;
-    // Per degree: the merged members, their discard flags, and the sorted
+    // Per degree: the merged level, its discard flags, and the sorted
     // positions of the *new* (frontier-born) members — everything after
     // the merge works off those positions instead of tagging each member.
-    let mut out_members: Vec<(Vec<Pseudocube>, Vec<bool>, Vec<usize>)> = Vec::new();
+    let mut out_members: Vec<(Level, Vec<bool>, Vec<usize>)> = Vec::new();
     let mut old_levels = old.levels.into_iter();
 
     let mut degree = 0usize;
@@ -254,73 +250,50 @@ pub(crate) fn splice(
         }
 
         // --- Keep the old members that avoid every removed minterm. ---
-        // The snapshot is consumed by value: kept members move into the
-        // merged level without re-allocating their basis storage, and a
-        // pure add edit (no removed minterms) moves whole levels without
-        // touching a single member.
-        let mut kept: Vec<Pseudocube> = Vec::new();
-        let mut kept_flags: Vec<bool> = Vec::new();
-        let mut lossy_structures: HashSet<u64> = HashSet::new();
-        if let Some((members, flags)) = old_levels.next() {
-            if members.len() != flags.len() {
-                return Err("shape");
-            }
-            if removed.is_empty() {
-                kept = members;
-                kept_flags = flags;
-            } else {
-                budget.charge((members.len() * (removed.len() + 1)) as u64)?;
-                for (pc, flag) in members.into_iter().zip(flags) {
-                    if removed.iter().any(|r| pc.contains(r)) {
-                        dropped_total += 1;
-                        lossy_structures.insert(pc.structure().structure_hash());
-                    } else {
-                        kept.push(pc);
-                        kept_flags.push(flag);
-                    }
+        // The snapshot is consumed by value: a pure add edit (no removed
+        // minterms) moves whole levels without touching a single member.
+        let (mut level, mut flags, lossy) = match old_levels.next() {
+            None => (Level::default(), Vec::new(), Vec::new()),
+            Some((members, flags)) => {
+                if members.len() != flags.len() {
+                    return Err("shape");
+                }
+                if removed.is_empty() {
+                    (members, flags, Vec::new())
+                } else {
+                    budget.charge((members.len() * (removed.len() + 1)) as u64)?;
+                    let kept = members.without(&flags, &removed);
+                    dropped_total += members.len() - kept.0.len();
+                    kept
                 }
             }
-        }
+        };
 
         // --- Re-derive flags whose witness may have been dropped. ---
         // A discard flag's witness is always a same-structure partner, so
-        // only flags in groups that lost a member can go stale. Kept
-        // members are sorted structure-major, so groups are contiguous
-        // runs — no hashing of whole bases. Lossy groups are tracked by
-        // structure hash: a collision only re-checks a group that did not
-        // need it, and the re-check recomputes the exact condition, so
-        // collisions cannot flip a flag wrongly.
-        if !lossy_structures.is_empty() {
-            for (start, end) in structure_runs(&kept) {
-                let hash = kept[start].structure().structure_hash();
-                if !lossy_structures.contains(&hash) {
-                    continue;
+        // only flags in runs that lost a member can go stale; they are
+        // recomputed against the run's surviving members.
+        for &r in &lossy {
+            let run = &level.runs()[r];
+            budget.charge((run.len() * run.len()) as u64)?;
+            let g = Group::of(&level, r);
+            for i in run.members() {
+                if !flags[i] {
+                    continue; // a false flag has no witness to lose
                 }
-                let len = end - start;
-                budget.charge((len * len) as u64)?;
-                let lits: Vec<u64> =
-                    kept[start..end].iter().map(Pseudocube::literal_count).collect();
-                for i in start..end {
-                    if !kept_flags[i] {
-                        continue; // a false flag has no witness to lose
+                flags[i] = run.members().any(|j| {
+                    if j == i {
+                        return false;
                     }
-                    let dirs = kept[i].structure();
-                    let rep_i = kept[i].rep();
-                    let lit_i = lits[i - start];
-                    kept_flags[i] = (start..end).any(|j| {
-                        if j == i {
-                            return false;
-                        }
-                        scratch.canonicalize(dirs, rep_i, kept[j].rep());
-                        scratch.lit <= lit_i
-                    });
-                }
+                    scratch.split(level.reps()[i], level.reps()[j]);
+                    scratch.count_literals(g.dirs);
+                    scratch.lit <= g.lit
+                });
             }
         }
 
         // --- Merge kept and new members into the level (sorted). ---
-        let (level, mut flags, new_pos) =
-            merge_members(kept, kept_flags, std::mem::take(&mut frontier));
+        let new_pos = level.merge(&mut flags, std::mem::take(&mut frontier));
         if level.is_empty() {
             break;
         }
@@ -328,43 +301,53 @@ pub(crate) fn splice(
         // --- Sweep: unions of pairs touching a new member. ---
         // Flags OR onto both halves (a union with no more literals than a
         // half discards it, exactly the cold rule with the conforming
-        // predicate identically true), and each distinct new union seeds
-        // the next frontier. Same-structure groups are contiguous runs of
-        // the sorted level; only the runs holding a new member are even
-        // visited — they are found by expanding around the new positions,
-        // so a large untouched level costs nothing to sweep past.
-        let mut arena: HashSet<u128> = HashSet::new();
-        let mut next: Vec<Pseudocube> = Vec::new();
-        for (start, end) in news_runs(&level, &new_pos) {
-            let lo = new_pos.partition_point(|&p| p < start);
-            let hi = new_pos.partition_point(|&p| p < end);
-            budget.charge(((end - start) * (hi - lo)) as u64)?;
-            let mut is_new = vec![false; end - start];
-            for &p in &new_pos[lo..hi] {
-                is_new[p - start] = true;
+        // predicate identically true). The spliced level is complete,
+        // hence closed, so each union is built at its canonical pair
+        // only (see the `generate` module), and every new union's
+        // canonical pair touches a new member: of its two halves, the one
+        // holding its added point is new. Only the runs holding a new
+        // member are visited, so a large untouched level costs nothing to
+        // sweep past.
+        let mut keys: Vec<UnionKey> = Vec::new();
+        let mut is_new: Vec<bool> = Vec::new();
+        let (mut at, mut r) = (0usize, 0usize);
+        while at < new_pos.len() {
+            r = run_of(level.runs(), r, new_pos[at]);
+            let run = &level.runs()[r];
+            let news_end = at + new_pos[at..].partition_point(|&p| p < run.hi as usize);
+            let news = &new_pos[at..news_end];
+            at = news_end;
+            budget.charge((run.len() * news.len()) as u64)?;
+            is_new.clear();
+            is_new.resize(run.len(), false);
+            for &i in news {
+                is_new[i - run.lo as usize] = true;
             }
-            let lits: Vec<u64> =
-                level[start..end].iter().map(Pseudocube::literal_count).collect();
-            let dirs = level[start].structure();
-            for i in 0..end - start {
-                for j in i + 1..end - start {
-                    if !is_new[i] && !is_new[j] {
-                        continue; // kept-kept unions are already cached
+            let g = Group::of(&level, r);
+            for &i in news {
+                for j in run.members() {
+                    // Each new-new pair once, from its later new member.
+                    if j == i || (j < i && is_new[j - run.lo as usize]) {
+                        continue;
                     }
-                    scratch.canonicalize(dirs, level[start + i].rep(), level[start + j].rep());
-                    if scratch.lit <= lits[i] {
-                        flags[start + i] = true;
+                    let (lo, hi) = (i.min(j), i.max(j));
+                    scratch.split(level.reps()[lo], level.reps()[hi]);
+                    if g.is_canonical(scratch.p) {
+                        scratch.canonical_literals(&g);
+                        keys.push(UnionKey::new(g.lo, scratch.d, lo as u32));
+                    } else if flags[lo] && flags[hi] {
+                        continue;
+                    } else {
+                        scratch.count_literals(g.dirs);
                     }
-                    if scratch.lit <= lits[j] {
-                        flags[start + j] = true;
-                    }
-                    if arena.insert(scratch.digest) {
-                        next.push(scratch.materialize(dirs));
+                    if scratch.lit <= g.lit {
+                        flags[lo] = true;
+                        flags[hi] = true;
                     }
                 }
             }
         }
-        next.sort_unstable();
+        let next = Level::from_keys(&level, keys);
         spliced_total += next.len();
         frontier = next;
 
@@ -386,41 +369,62 @@ pub(crate) fn splice(
     // (3) Every new member sits strictly between its neighbours, so each
     //     level stays in strict canonical order (the kept subsequence
     //     keeps the trusted snapshot's order — filtering preserves it).
+    //     A member's structure is its run's: within a run the reps must
+    //     increase, across a run boundary the structures.
     #[cfg(feature = "failpoints")]
     if spp_obs::failpoints::armed("delta.verify") {
         return Err("verify");
     }
+    let mut span: Vec<usize> = Vec::new();
     for (level, _, new_pos) in &out_members {
+        let (mut r, mut spanned) = (0usize, usize::MAX);
         for &p in new_pos {
-            if p > 0 && level[p - 1] >= level[p] {
+            r = run_of(level.runs(), r, p);
+            let run = &level.runs()[r];
+            let after_prev = if p > run.lo as usize {
+                level.reps()[p - 1] < level.reps()[p]
+            } else {
+                r == 0 || level.runs()[r - 1].dirs < run.dirs
+            };
+            let before_next = if p + 1 < run.hi as usize {
+                level.reps()[p] < level.reps()[p + 1]
+            } else {
+                r + 1 == level.runs().len() || run.dirs < level.runs()[r + 1].dirs
+            };
+            if !after_prev || !before_next {
                 return Err("verify");
             }
-            if p + 1 < level.len() && level[p] >= level[p + 1] {
-                return Err("verify");
+            if spanned != r {
+                span_indices(&run.dirs, &mut span);
+                spanned = r;
             }
-            budget.charge(level[p].num_points())?;
-            if level[p].points().any(|q| !bit(&v_new, point_index(&q))) {
+            budget.charge(span.len() as u64)?;
+            let base = point_index(&level.reps()[p]);
+            if span.iter().any(|&o| !bit(&v_new, base ^ o)) {
                 return Err("verify");
             }
         }
     }
-    let mut eppp: Vec<Pseudocube> = Vec::new();
-    let mut out_levels: Vec<(Vec<Pseudocube>, Vec<bool>)> = Vec::new();
+    let retained = out_members.iter().map(|(_, flags, _)| flags.iter().filter(|&&f| !f).count());
+    let mut eppp: Vec<Pseudocube> = Vec::with_capacity(retained.sum());
+    let mut covered = vec![0u64; words];
+    let mut out_levels: Vec<(Level, Vec<bool>)> = Vec::with_capacity(out_members.len());
     for (level, flags, _) in out_members {
-        for (pc, &flag) in level.iter().zip(&flags) {
-            if !flag {
-                eppp.push(pc.clone());
+        for run in level.runs() {
+            if run.members().all(|i| flags[i]) {
+                continue;
+            }
+            span_indices(&run.dirs, &mut span);
+            for i in run.members().filter(|&i| !flags[i]) {
+                budget.charge(span.len() as u64)?;
+                let base = point_index(&level.reps()[i]);
+                for &o in &span {
+                    covered[(base ^ o) / 64] |= 1u64 << ((base ^ o) % 64);
+                }
+                eppp.push(Pseudocube::from_canonical_parts(level.reps()[i], run.dirs.clone()));
             }
         }
         out_levels.push((level, flags));
-    }
-    let mut covered = vec![0u64; words];
-    for pc in &eppp {
-        budget.charge(pc.num_points())?;
-        for p in pc.points() {
-            let i = point_index(&p);
-            covered[i / 64] |= 1u64 << (i % 64);
-        }
     }
     if on.iter().zip(&covered).any(|(o, c)| o & !c != 0) {
         return Err("verify");
@@ -442,110 +446,27 @@ pub(crate) fn splice(
     })
 }
 
-/// The contiguous same-structure runs `[start, end)` of a canonically
-/// sorted member list ([`Pseudocube`]'s order is structure-major, so
-/// equal structures are always adjacent).
-fn structure_runs(members: &[Pseudocube]) -> Vec<(usize, usize)> {
-    let mut runs = Vec::new();
-    let mut start = 0;
-    while start < members.len() {
-        let mut end = start + 1;
-        while end < members.len()
-            && members[end].structure() == members[start].structure()
-        {
-            end += 1;
-        }
-        runs.push((start, end));
-        start = end;
+/// The run at or after `r` that holds member `p`, for members visited in
+/// increasing order.
+fn run_of(runs: &[Run], mut r: usize, p: usize) -> usize {
+    while runs[r].hi as usize <= p {
+        r += 1;
     }
-    runs
+    r
 }
 
-/// The same-structure runs that contain at least one of the (sorted) new
-/// positions, found by expanding outward from each new member. Runs with
-/// no new member are never even looked at, so the cost scales with the
-/// edit's footprint rather than the level's size.
-fn news_runs(members: &[Pseudocube], new_pos: &[usize]) -> Vec<(usize, usize)> {
-    let mut runs: Vec<(usize, usize)> = Vec::new();
-    for &p in new_pos {
-        if let Some(&(_, end)) = runs.last() {
-            if p < end {
-                continue; // already inside the previous run
-            }
+/// The point indices of the span of `dirs` (eligible functions have ≤ 16
+/// variables, so a point fits the first word): the offsets that, XORed
+/// onto a member's rep, enumerate its points.
+fn span_indices(dirs: &EchelonBasis, span: &mut Vec<usize>) {
+    span.clear();
+    span.push(0);
+    for row in dirs.rows() {
+        let r = point_index(row);
+        for t in 0..span.len() {
+            span.push(span[t] ^ r);
         }
-        let dirs = members[p].structure();
-        let mut start = p;
-        while start > 0 && members[start - 1].structure() == dirs {
-            start -= 1;
-        }
-        let mut end = p + 1;
-        while end < members.len() && members[end].structure() == dirs {
-            end += 1;
-        }
-        runs.push((start, end));
     }
-    runs
-}
-
-/// First index at or after `lo` whose member is not less than `pc`, by
-/// exponential (galloping) search: doubling steps find a window holding
-/// the boundary, a binary search inside the window pins it down. Callers
-/// guarantee every member before `lo` is less than `pc`.
-fn lower_bound_from(kept: &[Pseudocube], mut lo: usize, pc: &Pseudocube) -> usize {
-    let mut step = 1usize;
-    while lo + step <= kept.len() && kept[lo + step - 1] < *pc {
-        lo += step;
-        step <<= 1;
-    }
-    let hi = (lo + step - 1).min(kept.len());
-    lo + kept[lo..hi].partition_point(|k| k < pc)
-}
-
-/// Merges the sorted kept members with the sorted new frontier into one
-/// sorted level, carrying the flag vector in step and returning the
-/// positions the new members landed at. The two sides are disjoint — a
-/// new member contains an added point, a kept member cannot — so strict
-/// order is preserved. Insertion points come from binary search; the
-/// kept run between two cuts moves without a single comparison.
-fn merge_members(
-    kept: Vec<Pseudocube>,
-    kept_flags: Vec<bool>,
-    frontier: Vec<Pseudocube>,
-) -> (Vec<Pseudocube>, Vec<bool>, Vec<usize>) {
-    if frontier.is_empty() {
-        return (kept, kept_flags, Vec::new());
-    }
-    // The frontier is sorted, so cut positions are non-decreasing and
-    // consecutive cuts land close together; galloping from the previous
-    // cut touches mostly-warm memory where a binary search over the whole
-    // remainder takes ~log(level) cold probes per member.
-    let mut cuts: Vec<usize> = Vec::with_capacity(frontier.len());
-    let mut lo = 0usize;
-    for pc in &frontier {
-        lo = lower_bound_from(&kept, lo, pc);
-        cuts.push(lo);
-    }
-    let mut out = Vec::with_capacity(kept.len() + frontier.len());
-    let mut flags = Vec::with_capacity(kept.len() + frontier.len());
-    let mut new_pos = Vec::with_capacity(frontier.len());
-    let mut kept_it = kept.into_iter().zip(kept_flags);
-    let mut taken = 0usize;
-    for (pc, cut) in frontier.into_iter().zip(cuts) {
-        while taken < cut {
-            let (k, flag) = kept_it.next().expect("cut within kept");
-            out.push(k);
-            flags.push(flag);
-            taken += 1;
-        }
-        new_pos.push(out.len());
-        out.push(pc);
-        flags.push(false);
-    }
-    for (k, flag) in kept_it {
-        out.push(k);
-        flags.push(flag);
-    }
-    (out, flags, new_pos)
 }
 
 #[cfg(test)]
@@ -554,7 +475,7 @@ mod tests {
     use crate::generate::{generate_eppp_session_capture, LevelCapture};
     use crate::{GenLimits, Grouping};
 
-    type Levels = Vec<(Vec<Pseudocube>, Vec<bool>)>;
+    type Levels = Vec<(Level, Vec<bool>)>;
 
     /// Cold exact generation of `f` with its level snapshot.
     fn cold(f: &BoolFn) -> (EpppSet, Levels) {
@@ -576,11 +497,8 @@ mod tests {
     fn comparisons(levels: &Levels) -> Vec<u64> {
         levels
             .iter()
-            .map(|(members, _)| {
-                structure_runs(members)
-                    .iter()
-                    .map(|&(s, e)| ((e - s) * (e - s - 1) / 2) as u64)
-                    .sum()
+            .map(|(level, _)| {
+                level.runs().iter().map(|run| (run.len() * (run.len() - 1) / 2) as u64).sum()
             })
             .collect()
     }
