@@ -135,10 +135,11 @@ fn multi_output_cover_warm_starts_across_option_changes() {
     let outputs = [f0, f1];
     let cache = SppCache::in_memory(32 * 1024 * 1024);
     let first = MultiMinimizer::new(&outputs).cache(cache.clone()).run().unwrap();
-    // A different grouping keys a different multi entry (miss), but the
-    // shared pool of the first run warm-starts the covering search.
+    // A different (answer-neutral) column gate keys a different multi
+    // entry (miss), but the shared pool of the first run warm-starts the
+    // covering search.
     let second = MultiMinimizer::new(&outputs)
-        .grouping(spp_core::Grouping::HashMap)
+        .cover_limits(spp_cover::Limits::default().with_max_exact_columns(1_000_000))
         .cache(cache.clone())
         .run()
         .unwrap();
