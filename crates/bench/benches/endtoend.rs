@@ -73,7 +73,6 @@ fn bench_generation_strategies(c: &mut Criterion) {
     let limits = options().gen_limits;
     for (label, grouping) in [
         ("trie", Grouping::PartitionTrie),
-        ("hashmap", Grouping::HashMap),
         ("quadratic_baseline", Grouping::Quadratic),
     ] {
         c.bench_function(&format!("eppp_generation/{label}"), |b| {

@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the core operations: pseudocube union
 //! (affine vs literal-level Algorithm 1), CEX construction, partition-trie
-//! insertion vs hash grouping, the covering solvers, and the generation
-//! paths (cold arena-backed level sweep per grouping, delta splice).
+//! insertion vs all-pairs structure comparison, the covering solvers, and
+//! the generation paths (cold level sweep per grouping, delta splice).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use spp_core::{Cex, PartitionTrie, Pseudocube};
@@ -86,16 +86,6 @@ fn bench_grouping(c: &mut Criterion) {
                 trie.insert(pc, i as u32);
             }
             black_box(trie.num_groups())
-        })
-    });
-    c.bench_function("grouping/hashmap", |b| {
-        b.iter(|| {
-            let mut map: std::collections::HashMap<&EchelonBasis, Vec<u32>> =
-                std::collections::HashMap::new();
-            for (i, pc) in pcs.iter().enumerate() {
-                map.entry(pc.structure()).or_default().push(i as u32);
-            }
-            black_box(map.len())
         })
     });
     c.bench_function("grouping/quadratic_compare", |b| {
@@ -201,7 +191,6 @@ fn bench_kernel_backends(c: &mut Criterion) {
     let a: Vec<u64> = (0..words).map(|_| next()).collect();
     let b: Vec<u64> = (0..words).map(|_| next() & next()).collect();
     let mask: Vec<u64> = (0..words).map(|_| next() | next()).collect();
-    let hashes: Vec<u64> = (0..4096).map(|_| next() % 64).collect();
     let mut backends = vec![Backend::Scalar];
     if Backend::detect() != Backend::Scalar {
         backends.push(Backend::detect());
@@ -225,14 +214,6 @@ fn bench_kernel_backends(c: &mut Criterion) {
             bch.iter(|| {
                 backend.or_masked_into(&mut dst, &a, &mask);
                 black_box(dst[0])
-            })
-        });
-        let mut out = Vec::with_capacity(128);
-        c.bench_function(&format!("kernel/{tag}/positions_eq"), |bch| {
-            bch.iter(|| {
-                out.clear();
-                backend.positions_eq(7, &hashes, &mut out);
-                black_box(out.len())
             })
         });
     }

@@ -77,7 +77,7 @@ const SECTIONS: &[(&str, &str)] = &[
     ("Table 3 — heuristic SPP_0 vs exact", "table3"),
     ("Figure 3 — literals of SPP_k vs k", "fig3"),
     ("Figure 4 — CPU time of SPP_k vs k", "fig4"),
-    ("Ablation — grouping strategies", "ablation"),
+    ("Ablation — grouped vs all-pairs generation", "ablation"),
     ("Extension — SP vs 2-SPP vs SPP", "forms"),
 ];
 

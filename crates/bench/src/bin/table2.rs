@@ -130,8 +130,7 @@ fn main() {
     println!();
     println!("Shape check: Algorithm 2 should examine one to three orders of magnitude");
     println!("fewer pairs than the [5] baseline (the cmp columns) wherever the pseudocube");
-    println!("population is non-trivial. CPU time is the secondary column: the [5] scan is");
-    println!("vectorized, so its time gap is narrower than its comparison gap, and fixed");
-    println!("costs dominate the small rows. A starred run stopped at its budget, so its");
-    println!("counts and time cover only the levels it reached.");
+    println!("population is non-trivial. CPU time is the secondary column; fixed costs");
+    println!("dominate the small rows. A starred run stopped at its budget, so its counts");
+    println!("and time cover only the levels it reached.");
 }

@@ -1,5 +1,5 @@
 //! Generation of the extended prime pseudoproduct (EPPP) set — step 1–2 of
-//! Algorithm 2, with three interchangeable grouping strategies and a
+//! Algorithm 2, with the all-pairs baseline of \[5\] beside it and a
 //! deterministic parallel union sweep.
 //!
 //! # Closed levels: each union built once
@@ -67,10 +67,10 @@
 //! The degree-0 points all share the empty structure, so they are one run.
 //! The only levels that arrive flat are the heuristic's open levels, which
 //! are sorted: [`Level::group`] cuts them at structure changes, and those
-//! runs are exactly the groups the partition trie or a hash map would find
-//! there. So neither generator walks the trie: [`Grouping::PartitionTrie`]
-//! and [`Grouping::HashMap`] sweep the same runs, and only
-//! [`Grouping::Quadratic`] sweeps differently.
+//! runs are exactly the groups the partition trie would find there. So
+//! neither generator walks the trie: [`Grouping::PartitionTrie`] sweeps
+//! the runs as they are, and only the [`Grouping::Quadratic`] baseline
+//! sweeps differently.
 //!
 //! # Parallel execution
 //!
@@ -131,15 +131,14 @@ pub(crate) fn approx_pseudocube_bytes_at(m: usize) -> u64 {
     (std::mem::size_of::<Pseudocube>() + m * (std::mem::size_of::<Gf2Vec>() + 2)) as u64
 }
 
-/// How same-structure pseudocubes are grouped before pairwise union.
+/// How same-structure pseudocubes are found before pairwise union.
 ///
-/// All three strategies produce the same complete EPPP set for
-/// non-truncated runs; they differ only in how much work finding the
-/// unifiable pairs costs (the subject of the paper's Table 2). Every level
-/// arrives already cut into its structure groups (see the module
-/// docs), so the trie and the hash map do the same work: they compare
-/// only the pairs of each group. The quadratic baseline compares all
-/// pairs.
+/// Both strategies produce the same complete EPPP set for non-truncated
+/// runs; they differ only in how much work finding the unifiable pairs
+/// costs (the subject of the paper's Table 2). Every level arrives
+/// already cut into its structure groups (see the module docs), so
+/// Algorithm 2 compares only the pairs of each group. The quadratic
+/// baseline compares all pairs.
 ///
 /// # Examples
 ///
@@ -161,10 +160,6 @@ pub enum Grouping {
     /// already grouped, so no trie is walked.
     #[default]
     PartitionTrie,
-    /// The ablation of the trie's data structure, a hash map keyed by the
-    /// structure's normal form. Every level arrives grouped, so it sweeps
-    /// exactly as [`Grouping::PartitionTrie`] does.
-    HashMap,
     /// No grouping: all `|X|(|X|−1)/2` pairs are compared for structure
     /// equality, as in the earlier algorithm of Luccio–Pagli \[5\]. This is
     /// the baseline of Table 2, and always runs sequentially.
@@ -1611,19 +1606,16 @@ fn merge_workers(
 
 /// The \[5\] baseline: every pair of members is compared for structure
 /// equality — |X|(|X|−1)/2 comparisons — and unifiable pairs are united,
-/// by one worker. The inner scan is batched through the vectorized
-/// `positions_eq` kernel over the structure hashes, read from each
-/// member's run; candidates it surfaces are confirmed with the full
-/// structure comparison (hash collisions unite nothing). Both the unite
-/// order and the per-row comparison accounting are exactly the scalar
-/// loop's. Returns the worker's result and the comparison count.
+/// by one worker. Each comparison tests the structure hashes, read from
+/// each member's run, and a match is confirmed with the full structure
+/// comparison (hash collisions unite nothing). Returns the worker's
+/// result and the comparison count.
 fn sweep_quadratic<S: UnionStore>(sweep: &Sweep, store: S) -> (WorkerOut, u64) {
     let level = sweep.level;
     let mut pairs = PairLoop::new(sweep, store);
     let run_of: Vec<usize> =
         level.runs.iter().enumerate().flat_map(|(r, run)| std::iter::repeat_n(r, run.len())).collect();
     let hashes: Vec<u64> = run_of.iter().map(|&r| level.runs[r].dirs.structure_hash()).collect();
-    let mut matches: Vec<u32> = Vec::new();
     let mut comparisons = 0u64;
     let len = level.len();
     for i in 0..len {
@@ -1631,12 +1623,10 @@ fn sweep_quadratic<S: UnionStore>(sweep: &Sweep, store: S) -> (WorkerOut, u64) {
             return (pairs.finish(true), comparisons);
         }
         comparisons += (len - 1 - i) as u64;
-        matches.clear();
-        spp_kernels::positions_eq(hashes[i], &hashes[i + 1..], &mut matches);
+        let (hash, dirs) = (hashes[i], &level.runs[run_of[i]].dirs);
         let mut group = None;
-        for &off in &matches {
-            let j = i + 1 + off as usize;
-            if level.runs[run_of[i]].dirs == level.runs[run_of[j]].dirs {
+        for j in i + 1..len {
+            if hashes[j] == hash && level.runs[run_of[j]].dirs == *dirs {
                 let g = group.get_or_insert_with(|| Group::of(level, run_of[i]));
                 pairs.unite(g, i, j);
             }
@@ -1748,24 +1738,20 @@ mod tests {
         let f = BoolFn::from_indices(4, &[0, 3, 5, 6, 9, 10, 12, 15]); // even parity
         let trie: HashSet<_> =
             eppp_of(&f, Grouping::PartitionTrie).pseudocubes.into_iter().collect();
-        let hash: HashSet<_> = eppp_of(&f, Grouping::HashMap).pseudocubes.into_iter().collect();
         let quad: HashSet<_> = eppp_of(&f, Grouping::Quadratic).pseudocubes.into_iter().collect();
-        assert_eq!(trie, hash);
         assert_eq!(trie, quad);
     }
 
     #[test]
-    fn all_groupings_agree_at_any_thread_count() {
+    fn grouped_generation_agrees_at_any_thread_count() {
         let f = BoolFn::from_indices(4, &[0, 3, 5, 6, 9, 10, 12, 15]);
         let sequential = eppp_threads(&f, Grouping::PartitionTrie, 1);
         for threads in [2usize, 3, 8] {
-            for grouping in [Grouping::PartitionTrie, Grouping::HashMap] {
-                let par = eppp_threads(&f, grouping, threads);
-                // Bit-identical: same pseudocubes in the same order.
-                assert_eq!(par.pseudocubes, sequential.pseudocubes);
-                assert_eq!(par.stats.comparisons, sequential.stats.comparisons);
-                assert_eq!(par.stats.total_generated, sequential.stats.total_generated);
-            }
+            let par = eppp_threads(&f, Grouping::PartitionTrie, threads);
+            // Bit-identical: same pseudocubes in the same order.
+            assert_eq!(par.pseudocubes, sequential.pseudocubes);
+            assert_eq!(par.stats.comparisons, sequential.stats.comparisons);
+            assert_eq!(par.stats.total_generated, sequential.stats.total_generated);
         }
     }
 
@@ -2077,24 +2063,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hash_map_grouping_truncates_identically_on_every_run() {
-        // The hash map iterates its groups in a per-process random order;
-        // a budget that trips mid-level must still keep the same set.
-        let f = BoolFn::from_truth_fn(6, |x| x % 3 != 0);
-        for extra in [50, 200, 400] {
-            let limits = GenLimits::default()
-                .with_max_pseudocubes(42 + 861 + extra)
-                .with_parallelism(Parallelism::fixed(1));
-            let first = generate(&f, Grouping::HashMap, &limits);
-            assert!(first.stats.truncated, "extra = {extra}");
-            for _ in 0..4 {
-                let again = generate(&f, Grouping::HashMap, &limits);
-                assert_eq!(again.pseudocubes, first.pseudocubes, "extra = {extra}");
-            }
-        }
-    }
-
     /// A 70-variable function whose unions' rows use both words of a
     /// [`Gf2Vec`]: a 3-dimensional affine subspace plus five more points.
     fn wide_points() -> BoolFn {
@@ -2182,14 +2150,12 @@ mod tests {
                 let level: Vec<Pseudocube> = emitted.pseudocubes().collect();
                 let what = format!("degree {}", level[0].degree());
                 // Grouping the materialized level finds the emitted runs
-                // again: by adjacency, and as the trie and the hash map
-                // group it, hence with the same group count and
-                // comparisons.
+                // again: by adjacency, and as the trie groups it, hence
+                // with the same group count and comparisons.
                 assert_eq!(runs(&Level::group(&level)), runs(&emitted), "{what}");
                 let ranges: Vec<Vec<u32>> =
                     emitted.runs.iter().map(|r| (r.lo..r.hi).collect()).collect();
                 assert_eq!(trie_groups(&level), ranges, "{what}");
-                assert_eq!(map_groups(&level), ranges, "{what}");
                 let mut next: Option<Level> = None;
                 for quadratic in [false, true] {
                     for threads in [1usize, 2, 4] {
@@ -2232,33 +2198,14 @@ mod tests {
         }
     }
 
-    /// The structure groups the partition trie finds in a sorted level,
-    /// one path walk per group, as member indices in the trie's group
-    /// order.
+    /// The structure groups the partition trie finds in a sorted level, as
+    /// member indices in the trie's group order.
     fn trie_groups(level: &[Pseudocube]) -> Vec<Vec<u32>> {
         let mut trie = PartitionTrie::new(level[0].num_vars());
-        let mut node = 0;
         for (i, pc) in level.iter().enumerate() {
-            if i > 0 && pc.structure() == level[i - 1].structure() {
-                trie.insert_at(node, pc, i as u32);
-            } else {
-                node = trie.insert(pc, i as u32);
-            }
+            trie.insert(pc, i as u32);
         }
         trie.groups().map(|leaves| leaves.iter().map(|l| l.payload).collect()).collect()
-    }
-
-    /// The structure groups a hash map keyed by structure finds, as member
-    /// indices, sorted by first member.
-    fn map_groups(level: &[Pseudocube]) -> Vec<Vec<u32>> {
-        let mut map: std::collections::HashMap<&EchelonBasis, Vec<u32>> =
-            std::collections::HashMap::new();
-        for (i, pc) in level.iter().enumerate() {
-            map.entry(pc.structure()).or_default().push(i as u32);
-        }
-        let mut groups: Vec<Vec<u32>> = map.into_values().collect();
-        groups.sort_unstable_by_key(|g| g[0]);
-        groups
     }
 
     /// Checks, for the union `rep ⊕ W'`, that exactly one hyperplane split

@@ -27,8 +27,8 @@ use crate::{
 /// ```
 /// use spp_core::{Grouping, SppOptions};
 ///
-/// let options = SppOptions::default().with_grouping(Grouping::HashMap);
-/// assert_eq!(options.grouping, Grouping::HashMap);
+/// let options = SppOptions::default().with_grouping(Grouping::Quadratic);
+/// assert_eq!(options.grouping, Grouping::Quadratic);
 /// ```
 #[derive(Clone, Debug, Default)]
 #[non_exhaustive]
@@ -276,7 +276,7 @@ pub(crate) fn exact_session(f: &BoolFn, options: &SppOptions, ctx: &RunCtx) -> S
 /// future splice donor.
 fn exact_eppp(f: &BoolFn, options: &SppOptions, ctx: &RunCtx, cache: Option<&SppCache>) -> EpppSet {
     let mut levels = None;
-    let eppp = cached_eppp(cache, f, options.grouping, 0, ctx, || {
+    let eppp = cached_eppp(cache, f, 0, ctx, || {
         if let Some(set) = cache.and_then(|c| c.delta_eppp(f, ctx)) {
             return set;
         }
@@ -305,17 +305,16 @@ fn exact_eppp(f: &BoolFn, options: &SppOptions, ctx: &RunCtx, cache: Option<&Spp
 pub(crate) fn cached_eppp(
     cache: Option<&SppCache>,
     f: &BoolFn,
-    grouping: Grouping,
     output_index: u32,
     ctx: &RunCtx,
     generate: impl FnOnce() -> EpppSet,
 ) -> EpppSet {
     let Some(cache) = cache else { return generate() };
-    if let Some(set) = cache.get_eppp(f, grouping, output_index, ctx) {
+    if let Some(set) = cache.get_eppp(f, output_index, ctx) {
         return set;
     }
     let set = generate();
-    cache.put_eppp(f, grouping, output_index, &set, ctx);
+    cache.put_eppp(f, output_index, &set, ctx);
     set
 }
 

@@ -105,7 +105,7 @@ pub(crate) fn multi_session_cached(
             .with_parallelism(Parallelism::fixed((threads / outer).max(1)));
         let per_output: Vec<EpppSet> = par_map_indices(outer, outputs.len(), |j| {
             let f = &outputs[j];
-            cached_eppp(cache, f, options.grouping, j as u32, ctx, || {
+            cached_eppp(cache, f, j as u32, ctx, || {
                 generate_eppp_session(f, options.grouping, &inner_limits, None, ctx)
             })
         });

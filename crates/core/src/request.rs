@@ -25,7 +25,7 @@ use spp_obs::{CancelToken, EventSink, Form, Outcome, Rung};
 
 use crate::minimize::sp_minimum;
 use crate::{
-    FormPortfolio, FormRealization, Grouping, Minimizer, MultiMinimizer, Objective,
+    FormPortfolio, FormRealization, Minimizer, MultiMinimizer, Objective,
     PortfolioReport, SppCache, SppError, SppForm, SppMinResult, SppOptions,
 };
 
@@ -258,23 +258,6 @@ impl From<SppError> for ErrorFrame {
     }
 }
 
-fn grouping_str(g: Grouping) -> &'static str {
-    match g {
-        Grouping::PartitionTrie => "partition_trie",
-        Grouping::HashMap => "hash_map",
-        Grouping::Quadratic => "quadratic",
-    }
-}
-
-fn parse_grouping(s: &str) -> Option<Grouping> {
-    match s {
-        "partition_trie" => Some(Grouping::PartitionTrie),
-        "hash_map" => Some(Grouping::HashMap),
-        "quadratic" => Some(Grouping::Quadratic),
-        _ => None,
-    }
-}
-
 /// A complete minimization request: the function, the algorithm and the
 /// run-control envelope. One serde-free serializable struct serves the
 /// CLI one-shot path, library callers and the `spp serve` wire protocol.
@@ -304,8 +287,6 @@ pub struct MinimizeRequest {
     /// problem (pseudoproduct literals paid once) instead of
     /// independently. Requires [`MinimizeMode::Exact`].
     pub multi: bool,
-    /// Structure-grouping strategy for candidate generation.
-    pub grouping: Grouping,
     /// For [`MinimizeMode::Portfolio`]: the forms to race. Empty means
     /// all of [`Form::ALL`]; ignored by every other mode.
     pub forms: Vec<Form>,
@@ -325,7 +306,7 @@ pub struct MinimizeRequest {
 
 impl MinimizeRequest {
     /// Builds a request with default mode ([`MinimizeMode::Governed`]),
-    /// grouping, priority and no budgets.
+    /// priority and no budgets.
     #[must_use]
     pub fn new(id: impl Into<String>, pla: impl Into<String>) -> Self {
         MinimizeRequest {
@@ -334,7 +315,6 @@ impl MinimizeRequest {
             pla: pla.into(),
             mode: MinimizeMode::Governed,
             multi: false,
-            grouping: Grouping::default(),
             forms: Vec::new(),
             objective: Objective::default(),
             threads: None,
@@ -355,13 +335,6 @@ impl MinimizeRequest {
     #[must_use]
     pub fn with_multi(mut self, multi: bool) -> Self {
         self.multi = multi;
-        self
-    }
-
-    /// Sets the structure-grouping strategy.
-    #[must_use]
-    pub fn with_grouping(mut self, grouping: Grouping) -> Self {
-        self.grouping = grouping;
         self
     }
 
@@ -431,7 +404,6 @@ impl MinimizeRequest {
             _ => {}
         }
         fields.push(("multi".into(), Json::from(self.multi)));
-        fields.push(("grouping".into(), Json::from(grouping_str(self.grouping))));
         if let Some(t) = self.threads {
             fields.push(("threads".into(), Json::from(t)));
         }
@@ -563,15 +535,6 @@ impl MinimizeRequest {
                 return fail(WireErrorKind::BadRequest, format!("unknown mode {other:?}"))
             }
         };
-        let grouping = match json.get("grouping").and_then(Json::as_str) {
-            None => Grouping::default(),
-            Some(s) => match parse_grouping(s) {
-                Some(g) => g,
-                None => {
-                    return fail(WireErrorKind::BadRequest, format!("unknown grouping {s:?}"))
-                }
-            },
-        };
         let numeric = |key: &'static str| -> Result<Option<u64>, ErrorFrame> {
             match json.get(key) {
                 None | Some(Json::Null) => Ok(None),
@@ -603,7 +566,6 @@ impl MinimizeRequest {
             pla: pla.to_owned(),
             mode,
             multi: json.get("multi").and_then(Json::as_bool).unwrap_or(false),
-            grouping,
             forms,
             objective,
             threads,
@@ -999,14 +961,13 @@ pub fn execute_fns(
         |f: &BoolFn| SppForm::from_sp(&sp_minimum(f, &SppOptions::default().cover_limits).form);
 
     fn configure_generic<'f, F: ?Sized>(
-        m: Minimizer<'f, F>,
+        mut m: Minimizer<'f, F>,
         req: &MinimizeRequest,
         env: &ExecEnv,
         deadline: Option<Instant>,
         mem_soft: Option<u64>,
         mem_hard: Option<u64>,
     ) -> Minimizer<'f, F> {
-        let mut m = m.grouping(req.grouping);
         if let Some(t) = req.threads.or(env.threads_default) {
             m = m.threads(t);
         }
@@ -1166,7 +1127,6 @@ mod tests {
     fn request_round_trips_through_json() {
         let req = MinimizeRequest::new("r-1", XOR2)
             .with_mode(MinimizeMode::Heuristic(1))
-            .with_grouping(Grouping::HashMap)
             .with_threads(2)
             .with_deadline_ms(750)
             .with_mem_budget_mb(64)
@@ -1186,9 +1146,22 @@ mod tests {
                 .unwrap();
         assert_eq!(req.mode, MinimizeMode::Governed);
         assert_eq!(req.priority, Priority::Normal);
-        assert_eq!(req.grouping, Grouping::PartitionTrie);
         assert!(!req.multi);
         assert_eq!(req.threads, None);
+    }
+
+    #[test]
+    fn a_legacy_grouping_field_is_ignored() {
+        // Grouping is no longer a wire option: every request runs
+        // Algorithm 2's grouped sweep, and any value the field once took
+        // (or never could) parses to the request without it.
+        let plain = r#"{"v":1,"id":"g","pla":".i 1\n.o 1\n1 1\n.e\n","mode":"exact""#;
+        let without = MinimizeRequest::from_json(&format!("{plain}}}")).unwrap();
+        for grouping in ["partition_trie", "hash_map", "quadratic", "bogus"] {
+            let with = format!(r#"{plain},"grouping":"{grouping}"}}"#);
+            assert_eq!(MinimizeRequest::from_json(&with).unwrap(), without, "{grouping}");
+        }
+        assert!(!without.to_json().contains("grouping"));
     }
 
     #[test]

@@ -219,7 +219,7 @@ impl Minimizer<'_> {
     pub fn generate(&self) -> EpppSet {
         // Only the unrestricted set is cacheable: a `generate_where`
         // predicate is an arbitrary closure with no stable cache key.
-        cached_eppp(self.cache.as_ref(), self.f, self.options.grouping, 0, &self.ctx, || {
+        cached_eppp(self.cache.as_ref(), self.f, 0, &self.ctx, || {
             generate_eppp_session(
                 self.f,
                 self.options.grouping,
@@ -535,7 +535,7 @@ mod tests {
     fn builder_chain_configures_everything() {
         let f = BoolFn::from_truth_fn(3, |x| x.count_ones() % 2 == 1);
         let r = Minimizer::new(&f)
-            .grouping(Grouping::HashMap)
+            .grouping(Grouping::Quadratic)
             .limits(GenLimits::default().with_max_pseudocubes(50_000))
             .cover_limits(spp_cover::Limits::default())
             .threads(2)

@@ -167,14 +167,6 @@ impl PartitionTrie {
     /// Panics if the pseudocube is over a different number of variables.
     pub fn insert(&mut self, pc: &Pseudocube, payload: u32) -> u32 {
         let node = self.path_node(pc);
-        self.insert_at(node, pc, payload);
-        node
-    }
-
-    /// Inserts a pseudocube as a leaf of `node`, which must be the node
-    /// [`insert`](Self::insert) returned for a pseudocube of the same
-    /// structure — the path is not walked again.
-    pub(crate) fn insert_at(&mut self, node: u32, pc: &Pseudocube, payload: u32) {
         // Complement vector over the non-canonical variables, in order:
         // bit i = 1 iff the i-th NC variable is NOT complemented (its rep
         // coordinate is 1), matching the paper's leaf convention.
@@ -190,6 +182,7 @@ impl PartitionTrie {
         }
         self.nodes[node as usize].leaves.push(Leaf { complements, payload });
         self.num_leaves += 1;
+        node
     }
 
     /// Looks up the group a pseudocube's structure maps to, without

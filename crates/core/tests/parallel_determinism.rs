@@ -5,12 +5,12 @@
 
 use proptest::prelude::*;
 use spp_boolfn::BoolFn;
-use spp_core::{GenLimits, Grouping, Minimizer, Parallelism, Pseudocube};
+use spp_core::{GenLimits, Minimizer, Parallelism, Pseudocube};
 
 /// Non-truncating generation at a pinned worker count.
-fn eppp_at(f: &BoolFn, grouping: Grouping, threads: usize) -> (Vec<Pseudocube>, u64) {
+fn eppp_at(f: &BoolFn, threads: usize) -> (Vec<Pseudocube>, u64) {
     let limits = GenLimits::default().with_parallelism(Parallelism::fixed(threads));
-    let set = Minimizer::new(f).grouping(grouping).limits(limits).generate();
+    let set = Minimizer::new(f).limits(limits).generate();
     assert!(!set.stats.truncated, "determinism is only promised without truncation");
     (set.pseudocubes, set.stats.comparisons)
 }
@@ -24,25 +24,11 @@ proptest! {
     ) {
         let f = BoolFn::from_truth_fn(n, |x| bits >> (x % 32) & 1 == 1);
         prop_assume!(!f.is_zero());
-        for grouping in [Grouping::PartitionTrie, Grouping::HashMap] {
-            let baseline = eppp_at(&f, grouping, 1);
-            for threads in [2usize, 8] {
-                let parallel = eppp_at(&f, grouping, threads);
-                prop_assert_eq!(
-                    &baseline.0,
-                    &parallel.0,
-                    "EPPP set diverged: {:?} x{}",
-                    grouping,
-                    threads
-                );
-                prop_assert_eq!(
-                    baseline.1,
-                    parallel.1,
-                    "comparison count diverged: {:?} x{}",
-                    grouping,
-                    threads
-                );
-            }
+        let baseline = eppp_at(&f, 1);
+        for threads in [2usize, 8] {
+            let parallel = eppp_at(&f, threads);
+            prop_assert_eq!(&baseline.0, &parallel.0, "EPPP set diverged: x{}", threads);
+            prop_assert_eq!(baseline.1, parallel.1, "comparison count diverged: x{}", threads);
         }
     }
 }

@@ -340,25 +340,3 @@ pub(crate) unsafe fn or_masked_into(dst: &mut [u64], src: &[u64], mask: &[u64]) 
         i += 1;
     }
 }
-
-#[target_feature(enable = "avx2,popcnt")]
-pub(crate) unsafe fn positions_eq(needle: u64, haystack: &[u64], out: &mut Vec<u32>) {
-    let n = haystack.len();
-    let target = _mm256_set1_epi64x(needle as i64);
-    let mut i = 0;
-    while i + 4 <= n {
-        let eq = _mm256_cmpeq_epi64(load(haystack.as_ptr(), i), target);
-        let mut hits = _mm256_movemask_pd(_mm256_castsi256_pd(eq)) as u32 & 0xf;
-        while hits != 0 {
-            out.push((i + hits.trailing_zeros() as usize) as u32);
-            hits &= hits - 1;
-        }
-        i += 4;
-    }
-    while i < n {
-        if haystack[i] == needle {
-            out.push(i as u32);
-        }
-        i += 1;
-    }
-}

@@ -17,7 +17,7 @@
 //!
 //! Backends differ **only** in wall time. Every kernel returns exactly
 //! the value the scalar loop returns, for every input, including
-//! position-reporting kernels ([`first_and_one`], [`positions_eq`]) and
+//! position-reporting kernels ([`first_and_one`], [`lone_and_one`]) and
 //! early-exit kernels ([`subset`], [`intersects`]), whose results are pure
 //! functions of the input that block-granular exits cannot change. The
 //! covering engine's determinism guarantee (identical covers and node
@@ -367,11 +367,6 @@ kernels! {
 
     /// `dst |= src & mask`, word-wise.
     fn or_masked_into(dst: &mut [u64], src: &[u64], mask: &[u64]);
-
-    /// Append to `out` the index (as `u32`) of every word of `haystack`
-    /// equal to `needle`, in increasing order. Used to batch the
-    /// quadratic same-structure sweep over cached structure hashes.
-    fn positions_eq(needle: u64, haystack: &[u64], out: &mut Vec<u32>);
 }
 
 #[cfg(test)]

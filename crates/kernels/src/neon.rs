@@ -299,28 +299,3 @@ pub(crate) unsafe fn or_masked_into(dst: &mut [u64], src: &[u64], mask: &[u64]) 
         i += 1;
     }
 }
-
-#[target_feature(enable = "neon")]
-pub(crate) unsafe fn positions_eq(needle: u64, haystack: &[u64], out: &mut Vec<u32>) {
-    let n = haystack.len();
-    let target = vdupq_n_u64(needle);
-    let mut i = 0;
-    while i + 2 <= n {
-        let eq = vceqq_u64(load(haystack.as_ptr(), i), target);
-        if !is_zero(eq) {
-            if haystack[i] == needle {
-                out.push(i as u32);
-            }
-            if haystack[i + 1] == needle {
-                out.push((i + 1) as u32);
-            }
-        }
-        i += 2;
-    }
-    while i < n {
-        if haystack[i] == needle {
-            out.push(i as u32);
-        }
-        i += 1;
-    }
-}

@@ -111,12 +111,3 @@ pub(crate) fn or_masked_into(dst: &mut [u64], src: &[u64], mask: &[u64]) {
         *d |= s & m;
     }
 }
-
-#[inline]
-pub(crate) fn positions_eq(needle: u64, haystack: &[u64], out: &mut Vec<u32>) {
-    for (i, &h) in haystack.iter().enumerate() {
-        if h == needle {
-            out.push(i as u32);
-        }
-    }
-}

@@ -228,21 +228,3 @@ fn or_masked_into_matches_scalar() {
         assert_eq!(got, want, "a={a:?} b={b:?} mask={mask:?}");
     });
 }
-
-#[test]
-fn positions_eq_matches_scalar() {
-    let simd = Backend::detect();
-    let mut rng = StdRng::seed_from_u64(0xfeed);
-    for &len in LENS {
-        // Few distinct values so equality hits land in every block
-        // position, including runs of consecutive matches.
-        let haystack: Vec<u64> = (0..len).map(|_| rng.gen_range(0..4u64)).collect();
-        for needle in 0..5u64 {
-            let mut got = vec![7u32; 3]; // non-empty: must append, not clobber
-            let mut want = got.clone();
-            simd.positions_eq(needle, &haystack, &mut got);
-            Backend::Scalar.positions_eq(needle, &haystack, &mut want);
-            assert_eq!(got, want, "needle={needle} haystack={haystack:?}");
-        }
-    }
-}

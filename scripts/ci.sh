@@ -14,7 +14,8 @@
 # --threads 1 runs of adr4 and root, diffed), a thread-count smoke
 # (adr4, dist, adr4 --2spp and adr4 --heuristic 0 at --threads 1 and 2,
 # diffed), adr4 smokes of the 2-SPP,
-# SPP_k heuristic and multi-output modes, a --cache-dir
+# SPP_k heuristic and multi-output modes, a Table 2 drift check (the
+# comparison counts of results_table2.txt), a --cache-dir
 # round-trip smoke, a two-process shared --cache-dir
 # smoke (concurrent writers, bit-identical answers), a serve smoke
 # (daemon up, spp-loadgen drive, SIGINT drain), jq gates on the
@@ -133,6 +134,22 @@ if [ "$HEURISTIC_LINES" -ne 5 ]; then
   exit 1
 fi
 ./target/release/spp bench adr4 --multi --threads 1 --quiet | grep "^multi-output SPP:" >/dev/null
+
+echo "==> Table 2 drift check (comparison counts match results_table2.txt)"
+# Comparisons are counted, not timed, so they do not depend on the
+# machine or the thread count. The #L, time and speedup columns are
+# masked, and starred rows (stopped by a budget) are left out.
+table2_counts() {
+  awk -F'|' '/^[a-z0-9]+\([0-9]+\) +\|/ && $4 !~ /\*/ { gsub(/ +/, " ", $3); print $1 "|" $3 }' "$1"
+}
+./target/release/table2 >/tmp/spp-ci-table2.txt
+TABLE2_ROWS=$(table2_counts results_table2.txt | wc -l)
+if [ "$TABLE2_ROWS" -lt 10 ]; then
+  echo "ci: expected at least 10 unstarred rows in results_table2.txt, got $TABLE2_ROWS" >&2
+  exit 1
+fi
+diff <(table2_counts results_table2.txt) <(table2_counts /tmp/spp-ci-table2.txt)
+rm -f /tmp/spp-ci-table2.txt
 
 echo "==> CLI memory smoke (--mem-budget-mb 1 must land on a lower rung)"
 ./target/release/spp bench adr4 --mem-budget-mb 1 --quiet --threads 2 \
