@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the core operations: pseudocube union
 //! (affine vs literal-level Algorithm 1), CEX construction, partition-trie
-//! insertion vs all-pairs structure comparison, the covering solvers, and
-//! the generation paths (cold level sweep per grouping, delta splice).
+//! insertion vs all-pairs structure comparison, the covering solvers (a
+//! random instance and maj5 output 0's exact matrix), and the generation
+//! paths (cold level sweep per grouping, delta splice).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use spp_core::{Cex, PartitionTrie, Pseudocube};
@@ -125,6 +126,23 @@ fn bench_cover(c: &mut Criterion) {
     let limits = Limits::default().with_max_nodes(20_000);
     c.bench_function("cover/branch_and_bound", |b| {
         b.iter(|| black_box(solve_exact(&problem, &limits, None)))
+    });
+    // maj5 output 0's covering matrix, built from its EPPP set as the
+    // exact session builds it: 16 ON-set rows, 65 columns costing their
+    // literals. Greedy already finds the optimum (20); the proof takes
+    // 3,634 nodes, so this times the per-node reductions.
+    let circuit = spp_benchgen::registry::circuit("maj5").unwrap();
+    let f = &circuit.outputs()[0];
+    let on = f.on_set();
+    let mut maj5 = CoverProblem::new(on.len());
+    for pc in spp_core::Minimizer::new(f).threads(1).generate().pseudocubes {
+        let rows: Vec<usize> = (0..on.len()).filter(|&r| pc.contains(&on[r])).collect();
+        maj5.add_column(&rows, pc.literal_count().max(1));
+    }
+    assert_eq!((maj5.num_rows(), maj5.num_columns()), (16, 65));
+    let one_worker = Limits::default().with_parallelism(spp_par::Parallelism::fixed(1));
+    c.bench_function("cover/branch_and_bound/maj5_0", |b| {
+        b.iter(|| black_box(solve_exact(&maj5, &one_worker, None)))
     });
 }
 

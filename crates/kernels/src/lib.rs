@@ -26,9 +26,13 @@
 //!
 //! # Selection
 //!
-//! The backend is resolved once, on the first kernel call, from the
-//! `SPP_KERNEL` environment variable (`scalar`, `avx2`, `neon`, or
-//! `auto`) with CPU auto-detection as the default. Malformed or
+//! Spans of at most four words (256 bits) run the scalar body inline on
+//! every backend: an AVX2 body would run at most one vector step there,
+//! behind a call its `#[target_feature]` keeps from inlining. The
+//! backend decides only longer spans. It is resolved once, on the first
+//! such call or [`active`] call, from the `SPP_KERNEL` environment
+//! variable (`scalar`, `avx2`, `neon`, or `auto`) with CPU
+//! auto-detection as the default. Malformed or
 //! unsupported values warn once on stderr naming the value, then fall
 //! back to auto-detection — the same contract `SPP_THREADS` follows in
 //! `spp-par`. Tests flip backends in-process with [`set_backend`], which
@@ -278,10 +282,17 @@ macro_rules! dispatch {
     };
 }
 
+/// Spans of at most this many words run the scalar body inline on every
+/// backend: the AVX2 bodies step 4 words at a time, so on a span this
+/// short they would run at most one vector step, behind a call that
+/// `#[target_feature]` keeps from inlining. Results are identical either
+/// way (the crate contract), so the cutoff only moves wall time.
+const SCALAR_SPAN_WORDS: usize = 4;
+
 macro_rules! kernels {
     ($(
         $(#[$doc:meta])*
-        fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;
+        fn $name:ident($first:ident: $first_ty:ty $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?;
     )*) => {
         impl Backend {
             $(
@@ -294,13 +305,13 @@ macro_rules! kernels {
                 ///
                 /// Panics if the current CPU does not support this
                 /// backend.
-                pub fn $name(self, $($arg: $ty),*) $(-> $ret)? {
+                pub fn $name(self, $first: $first_ty $(, $arg: $ty)*) $(-> $ret)? {
                     assert!(
                         self.is_supported(),
                         "kernel backend {} is not supported on this CPU",
                         self.name()
                     );
-                    dispatch!(self, $name($($arg),*))
+                    dispatch!(self, $name($first $(, $arg)*))
                 }
             )*
         }
@@ -308,10 +319,15 @@ macro_rules! kernels {
         $(
             $(#[$doc])*
             ///
-            /// Dispatches to the [`active`] backend.
+            /// Runs the scalar body inline on spans of at most four words
+            /// and dispatches longer ones to the [`active`] backend.
             #[inline]
-            pub fn $name($($arg: $ty),*) $(-> $ret)? {
-                dispatch!(active(), $name($($arg),*))
+            pub fn $name($first: $first_ty $(, $arg: $ty)*) $(-> $ret)? {
+                if $first.len() <= SCALAR_SPAN_WORDS {
+                    scalar::$name($first $(, $arg)*)
+                } else {
+                    dispatch!(active(), $name($first $(, $arg)*))
+                }
             }
         )*
     };

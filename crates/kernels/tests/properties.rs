@@ -228,3 +228,66 @@ fn or_masked_into_matches_scalar() {
         assert_eq!(got, want, "a={a:?} b={b:?} mask={mask:?}");
     });
 }
+
+/// The public entry points run short spans inline and dispatch the rest,
+/// so both sides of that cutoff must equal the scalar reference under
+/// every backend the CPU can run.
+#[test]
+fn public_entry_points_match_scalar_under_every_backend() {
+    let backends = [Backend::Scalar, Backend::Avx2, Backend::Neon];
+    let mut rng = StdRng::seed_from_u64(0xe4_7e_59);
+    for backend in backends.into_iter().filter(|b| b.is_supported()) {
+        spp_kernels::set_backend(backend).unwrap();
+        for len in 0..=9 {
+            for &tail in TAIL_MASKS {
+                let pool = spans(&mut rng, len, tail);
+                for a in &pool {
+                    for b in &pool {
+                        let mask = &pool[rng.gen_range(0..pool.len())];
+                        let s = Backend::Scalar;
+                        let at = format!("{backend} a={a:?} b={b:?} mask={mask:?}");
+                        assert_eq!(spp_kernels::count_ones(a), s.count_ones(a), "{at}");
+                        assert_eq!(spp_kernels::none(a), s.none(a), "{at}");
+                        assert_eq!(spp_kernels::and_count(a, b), s.and_count(a, b), "{at}");
+                        assert_eq!(spp_kernels::xor_count(a, b), s.xor_count(a, b), "{at}");
+                        assert_eq!(
+                            spp_kernels::and_count_fold(a, b),
+                            s.and_count_fold(a, b),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            spp_kernels::first_and_one(a, b),
+                            s.first_and_one(a, b),
+                            "{at}"
+                        );
+                        assert_eq!(spp_kernels::lone_and_one(a, b), s.lone_and_one(a, b), "{at}");
+                        assert_eq!(spp_kernels::subset(a, b), s.subset(a, b), "{at}");
+                        assert_eq!(
+                            spp_kernels::subset_within(a, b, mask),
+                            s.subset_within(a, b, mask),
+                            "{at}"
+                        );
+                        assert_eq!(spp_kernels::intersects(a, b), s.intersects(a, b), "{at}");
+                        type Update = fn(&mut [u64], &[u64]);
+                        let updates: [(Update, Update); 3] = [
+                            (spp_kernels::or_into, |d, x| Backend::Scalar.or_into(d, x)),
+                            (spp_kernels::and_into, |d, x| Backend::Scalar.and_into(d, x)),
+                            (spp_kernels::andnot_into, |d, x| Backend::Scalar.andnot_into(d, x)),
+                        ];
+                        for (public, reference) in updates {
+                            let (mut got, mut want) = (a.clone(), a.clone());
+                            public(&mut got, b);
+                            reference(&mut want, b);
+                            assert_eq!(got, want, "{at}");
+                        }
+                        let (mut got, mut want) = (a.clone(), a.clone());
+                        spp_kernels::or_masked_into(&mut got, b, mask);
+                        s.or_masked_into(&mut want, b, mask);
+                        assert_eq!(got, want, "{at}");
+                    }
+                }
+            }
+        }
+    }
+    spp_kernels::set_backend(Backend::detect()).unwrap();
+}
