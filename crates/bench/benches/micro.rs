@@ -241,7 +241,7 @@ fn bench_generation(c: &mut Criterion) {
     use spp_boolfn::BoolFn;
     use spp_core::{Grouping, Minimizer, SppCache};
     // A dense 8-variable function: several thousand candidates, enough
-    // that the arena-backed level sweep (not setup) dominates the time.
+    // that the level sweep (not setup) dominates the time.
     let f = BoolFn::from_truth_fn(8, |x| x % 3 == 1 || x.count_ones() % 2 == 0);
     for (tag, grouping) in
         [("trie", Grouping::PartitionTrie), ("quadratic", Grouping::Quadratic)]

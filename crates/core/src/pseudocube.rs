@@ -65,7 +65,7 @@ impl Pseudocube {
     /// (zeros at every pivot). Skips the normalizing reduction of
     /// [`from_parts`](Self::from_parts) — the generator's union sweep
     /// maintains the normal form itself in scratch buffers and
-    /// materializes each distinct union exactly once through here.
+    /// materializes unions through here.
     #[must_use]
     pub(crate) fn from_canonical_parts(rep: Gf2Vec, dirs: EchelonBasis) -> Self {
         debug_assert_eq!(rep, dirs.reduce(rep), "rep must be pre-reduced modulo dirs");

@@ -1243,7 +1243,7 @@ impl RunCtx {
 /// [`set_after`](failpoints::set_after) and production code
 /// hits them through [`RunCtx::failpoint`]. Sites are plain strings; the
 /// pipeline's instrumented sites are `generate.level`, `generate.worker`,
-/// `generate.shard`, `cover.columns`, `cover.subtree`,
+/// `generate.unit`, `cover.columns`, `cover.subtree`,
 /// `heuristic.descent`, `delta.splice` and `delta.verify`.
 ///
 /// The registry is global, so tests that arm failpoints must serialize
