@@ -38,7 +38,7 @@ pub struct EchelonBasis {
     /// (the only mutator). The reduced echelon form is canonical per
     /// subspace, so equal subspaces always carry equal digests — which makes
     /// `Hash` O(1) and lets `PartialEq` bail out early on a mismatch. The
-    /// generator's grouping and sharded dedup hash every structure many
+    /// generator's open-level dedup hashes and compares structures many
     /// times per level; caching here is what keeps that cheap.
     hash: u64,
 }
