@@ -2,7 +2,8 @@
 //! (affine vs literal-level Algorithm 1), CEX construction, partition-trie
 //! insertion vs all-pairs structure comparison, the covering solvers (a
 //! random instance and maj5 output 0's exact matrix), and the generation
-//! paths (cold level sweep per grouping, delta splice).
+//! paths (cold level sweep per grouping, the closed pair loop on 7-input
+//! parity, delta splice).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use spp_core::{Cex, PartitionTrie, Pseudocube};
@@ -250,6 +251,13 @@ fn bench_generation(c: &mut Criterion) {
             b.iter(|| black_box(Minimizer::new(&f).grouping(grouping).generate()))
         });
     }
+    // The closed pair loop on its own: 7-input parity is 154,413 pairs and
+    // 26,323 unions that end in one retained pseudocube, the shape of the
+    // costliest generations of an exact sweep, swept by one worker.
+    let parity7 = BoolFn::from_truth_fn(7, |x| x.count_ones() % 2 == 1);
+    c.bench_function("gen/closed/parity7", |b| {
+        b.iter(|| black_box(Minimizer::new(&parity7).threads(1).generate()))
+    });
     // The incremental path: a one-minterm edit answered by splicing the
     // cached sibling snapshot. A splice consumes the snapshot it starts
     // from, so each iteration re-seeds a fresh cache with a cold run —

@@ -286,7 +286,7 @@ pub(crate) fn splice(
                         return false;
                     }
                     scratch.split(level.reps()[i], level.reps()[j]);
-                    scratch.count_literals(g.dirs);
+                    scratch.count_literals(&g);
                     scratch.lit <= g.lit
                 });
             }
@@ -333,13 +333,11 @@ pub(crate) fn splice(
                     let (lo, hi) = (i.min(j), i.max(j));
                     scratch.split(level.reps()[lo], level.reps()[hi]);
                     if g.is_canonical(scratch.p) {
-                        scratch.canonical_literals(&g);
                         keys.push(UnionKey::new(g.lo, scratch.d, lo as u32));
                     } else if flags[lo] && flags[hi] {
                         continue;
-                    } else {
-                        scratch.count_literals(g.dirs);
                     }
+                    scratch.count_literals(&g);
                     if scratch.lit <= g.lit {
                         flags[lo] = true;
                         flags[hi] = true;
@@ -347,6 +345,8 @@ pub(crate) fn splice(
                 }
             }
         }
+        // The runs were visited in order, so the keys arrive in the group
+        // order `Level::from_keys` takes.
         let next = Level::from_keys(&level, keys);
         spliced_total += next.len();
         frontier = next;

@@ -48,6 +48,7 @@ impl Gf2Vec {
     ///
     /// Panics if `len > MAX_BITS`.
     #[must_use]
+    #[inline]
     pub fn zeros(len: usize) -> Self {
         assert!(len <= MAX_BITS, "Gf2Vec length {len} exceeds {MAX_BITS}");
         Gf2Vec { words: [0; WORDS], len: len as u16 }
@@ -75,6 +76,7 @@ impl Gf2Vec {
     /// Panics if `len > MAX_BITS`, or if `bits` has a set bit at or above
     /// position `len`.
     #[must_use]
+    #[inline]
     pub fn from_u64(len: usize, bits: u64) -> Self {
         let mut v = Self::zeros(len);
         assert!(
@@ -135,6 +137,7 @@ impl Gf2Vec {
 
     /// The number of bits in this vector.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         self.len as usize
     }
@@ -151,6 +154,7 @@ impl Gf2Vec {
     ///
     /// Panics if `i >= self.len()`.
     #[must_use]
+    #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len(), "bit index {i} out of range for length {}", self.len);
         (self.words[i / 64] >> (i % 64)) & 1 == 1
@@ -161,6 +165,7 @@ impl Gf2Vec {
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
+    #[inline]
     pub fn set(&mut self, i: usize, value: bool) {
         assert!(i < self.len(), "bit index {i} out of range for length {}", self.len);
         if value {
@@ -196,12 +201,14 @@ impl Gf2Vec {
     /// folding, SIMD kernels) that want to skip the unused tail, the used
     /// word count is `len().div_ceil(64)`.
     #[must_use]
+    #[inline]
     pub fn as_words(&self) -> [u64; 2] {
         self.words
     }
 
     /// The number of set bits (Hamming weight).
     #[must_use]
+    #[inline]
     pub fn count_ones(&self) -> u32 {
         self.words.iter().map(|w| w.count_ones()).sum()
     }
@@ -217,6 +224,7 @@ impl Gf2Vec {
     /// In the SPP algorithms this is the *pivot* of an echelon-basis row,
     /// i.e. the canonical variable the row introduces.
     #[must_use]
+    #[inline]
     pub fn lowest_set_bit(&self) -> Option<usize> {
         for (w, &word) in self.words.iter().enumerate() {
             if word != 0 {
@@ -270,10 +278,12 @@ impl Gf2Vec {
 
     /// Whether `self` and `other` have the same length.
     #[must_use]
+    #[inline]
     pub fn same_len(&self, other: &Self) -> bool {
         self.len == other.len
     }
 
+    #[inline]
     fn assert_same_len(&self, other: &Self) {
         assert!(
             self.same_len(other),
@@ -326,6 +336,7 @@ impl Iterator for OnesIter {
 macro_rules! impl_bitop {
     ($trait:ident, $method:ident, $assign_trait:ident, $assign_method:ident, $op:tt) => {
         impl $assign_trait for Gf2Vec {
+            #[inline]
             fn $assign_method(&mut self, rhs: Self) {
                 self.assert_same_len(&rhs);
                 for (a, b) in self.words.iter_mut().zip(rhs.words.iter()) {
@@ -337,6 +348,7 @@ macro_rules! impl_bitop {
         impl $trait for Gf2Vec {
             type Output = Gf2Vec;
 
+            #[inline]
             fn $method(mut self, rhs: Self) -> Gf2Vec {
                 use $assign_trait;
                 self.$assign_method(rhs);
@@ -351,6 +363,7 @@ impl_bitop!(BitAnd, bitand, BitAndAssign, bitand_assign, &=);
 impl_bitop!(BitOr, bitor, BitOrAssign, bitor_assign, |=);
 
 impl PartialOrd for Gf2Vec {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -365,6 +378,7 @@ impl Ord for Gf2Vec {
     /// most significant position where the vectors disagree, and whichever
     /// vector has a one there is the greater (bits at positions ≥ `len`
     /// are zero by invariant, so they never differ).
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         self.len.cmp(&other.len).then_with(|| {
             for (&a, &b) in self.words.iter().zip(other.words.iter()) {
