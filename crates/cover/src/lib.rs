@@ -42,7 +42,7 @@ mod greedy;
 mod problem;
 mod reduce;
 
-pub use bitset::BitSet;
+pub use bitset::{BitSet, LoneOne};
 pub use exact::{solve_exact, solve_exact_ctx};
 pub use greedy::solve_greedy;
 pub use problem::{CoverProblem, CoverSolution, Limits};
