@@ -84,16 +84,21 @@ impl std::hash::Hasher for Fnv1a {
     fn finish(&self) -> u64 {
         self.0
     }
+    // Whole-word folds: one multiply per word instead of eight. The digest
+    // is still deterministic across runs and threads (all it needs to be).
+    // A row's `[u64; 2]` arrives here as one 16-byte slice, so `write`
+    // folds it eight bytes at a time too; only a tail shorter than a word
+    // takes the byte-wise path.
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_ne_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
         }
     }
-    // Whole-word folds: one multiply per word instead of eight. The digest
-    // is still deterministic across runs and threads (all it needs to be);
-    // `rows.hash` below feeds `u64`/`u16`/`usize` exclusively, so the
-    // byte-wise path above is only a fallback.
     fn write_u64(&mut self, v: u64) {
         self.0 ^= v;
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
@@ -560,6 +565,33 @@ mod tests {
         let mut d = c.clone();
         assert!(d.insert(v("1010")));
         assert_eq!(d.structure_hash(), a.structure_hash());
+    }
+
+    #[test]
+    fn structure_hash_is_a_word_fold_of_the_normal_form() {
+        // What `(n, rows).hash` feeds the digest: `n`, the row count, then
+        // per row its word count, its two words and its length, each one
+        // folded as a whole word (one multiply per word, none per byte).
+        let fold = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01B3);
+        for (n, span) in [
+            (4, vec![]),
+            (4, vec![v("0110"), v("1010")]),
+            (6, vec![v("100001"), v("011000"), v("000111")]),
+        ] {
+            let w = EchelonBasis::from_span(n, &span);
+            let mut h = fold(0xcbf2_9ce4_8422_2325, n as u64);
+            h = fold(h, w.rows.len() as u64);
+            for row in &w.rows {
+                h = fold(h, 2);
+                h = row.as_words().iter().fold(h, |h, &x| fold(h, x));
+                h = fold(h, row.len() as u64);
+            }
+            assert_eq!(w.structure_hash(), h, "n={n} dim={}", w.dim());
+        }
+        // A 128-bit row: both words feed the digest.
+        let wide = EchelonBasis::from_span(128, &[Gf2Vec::from_index_bits(128, &[3, 127])]);
+        let narrow = EchelonBasis::from_span(128, &[Gf2Vec::from_index_bits(128, &[3, 126])]);
+        assert_ne!(wide.structure_hash(), narrow.structure_hash());
     }
 
     #[test]
