@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use spp_benchgen::registry;
 use spp_boolfn::BoolFn;
-use spp_core::{Grouping, Minimizer, SppOptions};
+use spp_core::{Minimizer, SppOptions};
 use spp_sp::minimize_sp;
 
 fn slices() -> Vec<(&'static str, BoolFn)> {
@@ -71,16 +71,11 @@ fn bench_sp(c: &mut Criterion) {
 fn bench_generation_strategies(c: &mut Criterion) {
     let f = registry::circuit("adr4").unwrap().output_on_support(2);
     let limits = options().gen_limits;
-    for (label, grouping) in [
-        ("trie", Grouping::PartitionTrie),
-        ("quadratic_baseline", Grouping::Quadratic),
-    ] {
-        c.bench_function(&format!("eppp_generation/{label}"), |b| {
-            b.iter(|| {
-                black_box(Minimizer::new(&f).grouping(grouping).limits(limits.clone()).generate())
-            })
-        });
-    }
+    let session = Minimizer::new(&f).limits(limits);
+    c.bench_function("eppp_generation/trie", |b| b.iter(|| black_box(session.generate())));
+    c.bench_function("eppp_generation/quadratic_baseline", |b| {
+        b.iter(|| black_box(session.generate_quadratic()))
+    });
 }
 
 criterion_group! {

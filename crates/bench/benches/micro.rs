@@ -2,7 +2,8 @@
 //! (affine vs literal-level Algorithm 1), CEX construction, partition-trie
 //! insertion vs all-pairs structure comparison, the covering solvers (a
 //! random instance and maj5 output 0's exact matrix), and the generation
-//! paths (cold level sweep per grouping, the closed pair loop on 7-input
+//! paths (cold level sweep, Algorithm 2 and the quadratic baseline; the
+//! closed pair loop on 7-input
 //! parity, delta splice).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -193,64 +194,16 @@ fn bench_bitset_kernels(c: &mut Criterion) {
     });
 }
 
-fn bench_kernel_backends(c: &mut Criterion) {
-    // The dispatched span kernels, scalar vs the auto-detected SIMD
-    // backend on the same inputs, so a baseline diff shows the actual
-    // vectorization win on this machine. 64 words = 4096 bits, the same
-    // span size the covering benches above use.
-    use spp_kernels::Backend;
-    let words = 64usize;
-    let mut x = 0xC0FF_EE00_DEAD_F00Du64;
-    let mut next = || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    };
-    let a: Vec<u64> = (0..words).map(|_| next()).collect();
-    let b: Vec<u64> = (0..words).map(|_| next() & next()).collect();
-    let mask: Vec<u64> = (0..words).map(|_| next() | next()).collect();
-    let mut backends = vec![Backend::Scalar];
-    if Backend::detect() != Backend::Scalar {
-        backends.push(Backend::detect());
-    }
-    for backend in backends {
-        let tag = backend.name();
-        c.bench_function(&format!("kernel/{tag}/and_count"), |bch| {
-            bch.iter(|| black_box(backend.and_count(&a, &b)))
-        });
-        c.bench_function(&format!("kernel/{tag}/subset_within"), |bch| {
-            bch.iter(|| black_box(backend.subset_within(&b, &a, &mask)))
-        });
-        c.bench_function(&format!("kernel/{tag}/lone_and_one"), |bch| {
-            bch.iter(|| black_box(backend.lone_and_one(&a, &b)))
-        });
-        c.bench_function(&format!("kernel/{tag}/count_ones"), |bch| {
-            bch.iter(|| black_box(backend.count_ones(&a)))
-        });
-        let mut dst = vec![0u64; words];
-        c.bench_function(&format!("kernel/{tag}/or_masked_into"), |bch| {
-            bch.iter(|| {
-                backend.or_masked_into(&mut dst, &a, &mask);
-                black_box(dst[0])
-            })
-        });
-    }
-}
-
 fn bench_generation(c: &mut Criterion) {
     use spp_boolfn::BoolFn;
-    use spp_core::{Grouping, Minimizer, SppCache};
+    use spp_core::{Minimizer, SppCache};
     // A dense 8-variable function: several thousand candidates, enough
     // that the level sweep (not setup) dominates the time.
     let f = BoolFn::from_truth_fn(8, |x| x % 3 == 1 || x.count_ones() % 2 == 0);
-    for (tag, grouping) in
-        [("trie", Grouping::PartitionTrie), ("quadratic", Grouping::Quadratic)]
-    {
-        c.bench_function(&format!("gen/cold/{tag}"), |b| {
-            b.iter(|| black_box(Minimizer::new(&f).grouping(grouping).generate()))
-        });
-    }
+    c.bench_function("gen/cold/trie", |b| b.iter(|| black_box(Minimizer::new(&f).generate())));
+    c.bench_function("gen/cold/quadratic", |b| {
+        b.iter(|| black_box(Minimizer::new(&f).generate_quadratic()))
+    });
     // The closed pair loop on its own: 7-input parity is 154,413 pairs and
     // 26,323 unions that end in one retained pseudocube, the shape of the
     // costliest generations of an exact sweep, swept by one worker.
@@ -279,6 +232,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
     targets = bench_union, bench_cex, bench_grouping, bench_cover, bench_bitset_kernels,
-        bench_kernel_backends, bench_generation
+        bench_generation
 }
 criterion_main!(benches);

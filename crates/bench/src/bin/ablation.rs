@@ -8,7 +8,7 @@
 //! ```
 
 use spp_bench::{circuit_or_die, secs, timed_eppp, Mode};
-use spp_core::Grouping;
+use spp_core::Minimizer;
 
 fn main() {
     let mode = Mode::from_args();
@@ -31,14 +31,14 @@ fn main() {
             if f.is_zero() || f.num_vars() == 0 {
                 continue;
             }
-            let (grouped, t_grouped) = timed_eppp(&f, Grouping::PartitionTrie, mode);
-            let (quad, t_quad) = timed_eppp(&f, Grouping::Quadratic, mode);
+            let (grouped, t_grouped) = timed_eppp(&f, Minimizer::generate, mode);
+            let (quad, t_quad) = timed_eppp(&f, Minimizer::generate_quadratic, mode);
             // Equality of the retained sets only holds for complete runs:
             // time-based truncation cuts at arbitrary points.
             if !grouped.stats.truncated && !quad.stats.truncated {
                 assert_eq!(
                     grouped.pseudocubes, quad.pseudocubes,
-                    "complete grouping strategies must agree"
+                    "complete grouped and quadratic runs must agree"
                 );
             }
             let star = |s: String, t: bool| if t { format!("{s}*") } else { s };

@@ -29,10 +29,7 @@
 //! therefore uncacheable) through an [`spp_core::SppCache`] persisted at
 //! `DIR`, and the baseline's top-level `cache` object carries the final
 //! [`spp_core::CacheStats`] — zeros when caching is off, so the schema
-//! (`spp-bench/8`) is stable either way. The header's `kernel_backend`
-//! field records which [`spp_kernels`] backend (scalar/avx2/neon) the run
-//! dispatched to; all counters in the report are backend-invariant, only
-//! wall times vary.
+//! (`spp-bench/8`) is stable either way.
 //!
 //! Each entry also carries a `forms` object: the result of racing the
 //! row's output through the four-form portfolio
@@ -62,10 +59,10 @@ use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use spp_bench::{circuit_or_die, timed_eppp_cached, timed_eppp_with, Mode};
+use spp_bench::{circuit_or_die, timed_eppp_cached, timed_eppp_with, Generator, Mode};
 use spp_boolfn::BoolFn;
 use spp_core::{
-    CacheConfig, CacheStats, Event, EventSink, FormPortfolio, Grouping, Minimizer,
+    CacheConfig, CacheStats, Event, EventSink, FormPortfolio, Minimizer,
     MinimizeMode, Parallelism, Phase, RunCtx, SppCache,
 };
 use spp_serve::loadgen::LoadgenConfig;
@@ -400,15 +397,15 @@ fn emit_json(
         incremental.delta_reuses += probe.delta_reuses;
         incremental.delta_rejects += probe.delta_rejects;
         let configs = [
-            ("trie", Grouping::PartitionTrie, Parallelism::sequential()),
-            ("trie", Grouping::PartitionTrie, budget),
-            ("quadratic", Grouping::Quadratic, Parallelism::sequential()),
+            ("trie", Minimizer::generate as Generator, Parallelism::sequential()),
+            ("trie", Minimizer::generate, budget),
+            ("quadratic", Minimizer::generate_quadratic, Parallelism::sequential()),
         ];
         let mut literals = None;
-        for (grouping_label, grouping, parallelism) in configs {
+        for (grouping_label, generate, parallelism) in configs {
             let limits = spp_bench::table2_gen_limits(mode).with_parallelism(parallelism);
             eprintln!("timing {name}({idx}) {grouping_label} x{} ...", parallelism.threads());
-            let (set, dt) = timed_eppp_with(&f, grouping, &limits);
+            let (set, dt) = timed_eppp_with(&f, generate, &limits);
             // The cache-warmed re-run: populate once (insertion or an
             // earlier run's disk entry), then time the warm generate.
             // Truncated sets are never cached — their warm time stays
@@ -417,8 +414,8 @@ fn emit_json(
                 if set.stats.truncated || !set.stats.outcome.is_completed() {
                     return None;
                 }
-                let _ = timed_eppp_cached(&f, grouping, &limits, cache);
-                let (warm, warm_dt) = timed_eppp_cached(&f, grouping, &limits, cache);
+                let _ = timed_eppp_cached(&f, generate, &limits, cache);
+                let (warm, warm_dt) = timed_eppp_cached(&f, generate, &limits, cache);
                 assert_eq!(
                     warm.pseudocubes.len(),
                     set.pseudocubes.len(),
@@ -484,12 +481,10 @@ fn emit_json(
     );
     let json = format!(
         "{{\n  \"schema\": \"spp-bench/8\",\n  \"profile\": \"{}\",\n  \
-         \"kernel_backend\": \"{}\",\n  \
          \"resolved_threads\": {},\n  \"cache\": {},\n  \"incremental\": {},\n  \
          \"server\": {},\n  \
          \"entries\": [\n{}\n  ]\n}}\n",
         if full { "full" } else { "fast" },
-        spp_kernels::active().name(),
         resolved_threads,
         cache_stats.to_json(),
         incremental_json,

@@ -16,7 +16,7 @@
 //! paper's two-day-timeout stars for the baseline.
 
 use spp_bench::{circuit_or_die, secs, starred, Mode};
-use spp_core::Grouping;
+use spp_core::Minimizer;
 use spp_cover::solve_auto;
 
 /// (function, output index, paper #L, paper baseline seconds or None for
@@ -61,8 +61,9 @@ fn main() {
         }
         let f = circuit.output_on_support(idx);
         let limits = spp_bench::table2_gen_limits(mode);
-        let (base_set, base_dt) = spp_bench::timed_eppp_with(&f, Grouping::Quadratic, &limits);
-        let (trie_set, trie_dt) = spp_bench::timed_eppp_with(&f, Grouping::PartitionTrie, &limits);
+        let (base_set, base_dt) =
+            spp_bench::timed_eppp_with(&f, Minimizer::generate_quadratic, &limits);
+        let (trie_set, trie_dt) = spp_bench::timed_eppp_with(&f, Minimizer::generate, &limits);
 
         // #L of the minimal expression over the trie-built EPPP set; the
         // per-candidate row scans fan out across workers.
@@ -110,9 +111,9 @@ fn main() {
     for (name, idx) in [("life", 0usize), ("adr4", 3), ("dist", 1), ("root", 1), ("mlp4", 5)] {
         let f = circuit_or_die(name).output_on_support(idx);
         let limits = spp_bench::table2_gen_limits(mode);
-        let (base_set, base_dt) = spp_bench::timed_eppp_with(&f, Grouping::Quadratic, &limits);
-        let (trie_set, trie_dt) =
-            spp_bench::timed_eppp_with(&f, Grouping::PartitionTrie, &limits);
+        let (base_set, base_dt) =
+            spp_bench::timed_eppp_with(&f, Minimizer::generate_quadratic, &limits);
+        let (trie_set, trie_dt) = spp_bench::timed_eppp_with(&f, Minimizer::generate, &limits);
         let speedup = base_dt.as_secs_f64() / trie_dt.as_secs_f64().max(1e-9);
         println!(
             "{:<12} | {:>6} | {:>12} {:>12} | {:>10} {:>10} | {:>12} {:>12} | {:>8.1}x",

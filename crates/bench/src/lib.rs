@@ -23,7 +23,7 @@
 use std::time::{Duration, Instant};
 
 use spp_boolfn::BoolFn;
-use spp_core::{EpppSet, Grouping, Minimizer, SppMinResult, SppOptions};
+use spp_core::{EpppSet, Minimizer, SppMinResult, SppOptions};
 use spp_sp::{minimize_sp, SpMinResult};
 
 /// Resource profile of a harness run.
@@ -62,7 +62,6 @@ impl Mode {
     pub fn spp_options(self) -> SppOptions {
         match self {
             Mode::Fast => SppOptions::default()
-                .with_grouping(Grouping::PartitionTrie)
                 .with_gen_limits(
                     spp_core::GenLimits::default()
                         .with_max_pseudocubes(150_000)
@@ -78,7 +77,6 @@ impl Mode {
                         .with_parallelism(spp_cover::Parallelism::AUTO),
                 ),
             Mode::Full => SppOptions::default()
-                .with_grouping(Grouping::PartitionTrie)
                 .with_gen_limits(
                     spp_core::GenLimits::default()
                         .with_max_pseudocubes(600_000)
@@ -230,21 +228,26 @@ pub fn heuristic_point(f: &BoolFn, k: usize, mode: Mode) -> (SppMinResult, Durat
     (r, dt)
 }
 
-/// Generates the EPPP set of `f` with the requested grouping, timing it.
+/// An EPPP generator of a session: [`Minimizer::generate`] (Algorithm 2)
+/// or [`Minimizer::generate_quadratic`] (Table 2's \[5\] baseline).
+pub type Generator<'f> = fn(&Minimizer<'f>) -> EpppSet;
+
+/// Generates the EPPP set of `f` with `generate`, timing it.
 #[must_use]
-pub fn timed_eppp(f: &BoolFn, grouping: Grouping, mode: Mode) -> (EpppSet, Duration) {
+pub fn timed_eppp<'f>(f: &'f BoolFn, generate: Generator<'f>, mode: Mode) -> (EpppSet, Duration) {
     let options = mode.spp_options();
-    timed_eppp_with(f, grouping, &options.gen_limits)
+    timed_eppp_with(f, generate, &options.gen_limits)
 }
 
-/// Generates the EPPP set of `f` under explicit limits, timing it.
+/// Generates the EPPP set of `f` with `generate` under explicit limits,
+/// timing it.
 #[must_use]
-pub fn timed_eppp_with(
-    f: &BoolFn,
-    grouping: Grouping,
+pub fn timed_eppp_with<'f>(
+    f: &'f BoolFn,
+    generate: Generator<'f>,
     limits: &spp_core::GenLimits,
 ) -> (EpppSet, Duration) {
-    timed(|| Minimizer::new(f).grouping(grouping).limits(limits.clone()).generate())
+    timed(|| generate(&Minimizer::new(f).limits(limits.clone())))
 }
 
 /// Generates the EPPP set of `f` under explicit limits with a result
@@ -252,19 +255,13 @@ pub fn timed_eppp_with(
 /// persisted) cache answers from it without re-generating — the warm
 /// half of the `report --json` baseline.
 #[must_use]
-pub fn timed_eppp_cached(
-    f: &BoolFn,
-    grouping: Grouping,
+pub fn timed_eppp_cached<'f>(
+    f: &'f BoolFn,
+    generate: Generator<'f>,
     limits: &spp_core::GenLimits,
     cache: &spp_core::SppCache,
 ) -> (EpppSet, Duration) {
-    timed(|| {
-        Minimizer::new(f)
-            .grouping(grouping)
-            .limits(limits.clone())
-            .cache(cache.clone())
-            .generate()
-    })
+    timed(|| generate(&Minimizer::new(f).limits(limits.clone()).cache(cache.clone())))
 }
 
 /// Generation budgets for the Table 2 timing comparison: generous enough

@@ -2,10 +2,10 @@
 //! bit 3 has thousands of pseudocubes per level, so every worker receives
 //! many sweep units and the stable merge is genuinely exercised.
 
-use spp_core::{Grouping, Minimizer, Pseudocube};
+use spp_core::{Minimizer, Pseudocube};
 
 fn eppp_at(f: &spp_boolfn::BoolFn, threads: usize) -> (Vec<Pseudocube>, u64) {
-    let set = Minimizer::new(f).grouping(Grouping::PartitionTrie).threads(threads).generate();
+    let set = Minimizer::new(f).threads(threads).generate();
     assert!(!set.stats.truncated, "determinism is only promised without truncation");
     (set.pseudocubes, set.stats.comparisons)
 }

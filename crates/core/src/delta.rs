@@ -473,7 +473,7 @@ fn span_indices(dirs: &EchelonBasis, span: &mut Vec<usize>) {
 mod tests {
     use super::*;
     use crate::generate::{generate_eppp_session_capture, LevelCapture};
-    use crate::{GenLimits, Grouping};
+    use crate::GenLimits;
 
     type Levels = Vec<(Level, Vec<bool>)>;
 
@@ -482,7 +482,7 @@ mod tests {
         let mut capture = LevelCapture::new(DELTA_CAPTURE_CAP);
         let set = generate_eppp_session_capture(
             f,
-            Grouping::PartitionTrie,
+            false,
             &GenLimits::default(),
             None,
             &RunCtx::default(),

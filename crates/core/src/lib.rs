@@ -87,7 +87,7 @@ pub use cache::SppCache;
 pub use cex::{Cex, EmptyPseudoproductError, ExorFactor};
 pub use error::{parse_pla, SppError};
 pub use form::SppForm;
-pub use generate::{EpppSet, GenLimits, GenStats, Grouping, LevelStats};
+pub use generate::{EpppSet, GenLimits, GenStats, LevelStats};
 pub use minimize::{SppMinResult, SppOptions};
 pub use multi::MultiSppResult;
 pub use portfolio::{

@@ -12,7 +12,7 @@ use spp_obs::{Event, Fault, Outcome, Phase, RunCtx, Rung};
 
 use crate::generate::{generate_eppp_session, generate_eppp_session_capture, LevelCapture};
 use crate::{
-    factor_width_at_most, EpppSet, GenLimits, GenStats, Grouping, Pseudocube, SppCache, SppError,
+    factor_width_at_most, EpppSet, GenLimits, GenStats, Pseudocube, SppCache, SppError,
     SppForm,
 };
 
@@ -25,16 +25,15 @@ use crate::{
 /// # Examples
 ///
 /// ```
-/// use spp_core::{Grouping, SppOptions};
+/// use spp_core::{GenLimits, SppOptions};
 ///
-/// let options = SppOptions::default().with_grouping(Grouping::Quadratic);
-/// assert_eq!(options.grouping, Grouping::Quadratic);
+/// let limits = GenLimits::default().with_max_pseudocubes(1_000);
+/// let options = SppOptions::default().with_gen_limits(limits);
+/// assert_eq!(options.gen_limits.max_pseudocubes, 1_000);
 /// ```
 #[derive(Clone, Debug, Default)]
 #[non_exhaustive]
 pub struct SppOptions {
-    /// Structure-grouping strategy for pseudocube generation.
-    pub grouping: Grouping,
     /// Budget of the generation phase.
     pub gen_limits: GenLimits,
     /// Budget of the set-covering phase.
@@ -42,13 +41,6 @@ pub struct SppOptions {
 }
 
 impl SppOptions {
-    /// Sets the structure-grouping strategy.
-    #[must_use]
-    pub fn with_grouping(mut self, grouping: Grouping) -> Self {
-        self.grouping = grouping;
-        self
-    }
-
     /// Sets the generation budget.
     #[must_use]
     pub fn with_gen_limits(mut self, limits: GenLimits) -> Self {
@@ -187,7 +179,6 @@ pub(crate) fn algorithm2_session(
             None => exact_eppp(f, options, ctx, cache),
             Some(w) => generate_eppp_session(
                 f,
-                options.grouping,
                 &options.gen_limits,
                 Some(&|pc| factor_width_at_most(pc, w)),
                 ctx,
@@ -284,7 +275,7 @@ fn exact_eppp(f: &BoolFn, options: &SppOptions, ctx: &RunCtx, cache: Option<&Spp
             .then(|| LevelCapture::new(crate::delta::DELTA_CAPTURE_CAP));
         let set = generate_eppp_session_capture(
             f,
-            options.grouping,
+            false,
             &options.gen_limits,
             None,
             ctx,

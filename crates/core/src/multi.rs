@@ -106,7 +106,7 @@ pub(crate) fn multi_session_cached(
         let per_output: Vec<EpppSet> = par_map_indices(outer, outputs.len(), |j| {
             let f = &outputs[j];
             cached_eppp(cache, f, j as u32, ctx, || {
-                generate_eppp_session(f, options.grouping, &inner_limits, None, ctx)
+                generate_eppp_session(f, &inner_limits, None, ctx)
             })
         });
         let mut truncated = false;

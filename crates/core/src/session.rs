@@ -25,18 +25,18 @@ use spp_obs::{CancelToken, Event, EventSink, Form, Outcome, RunCtx, Rung};
 use spp_par::Parallelism;
 use spp_sp::SpMinResult;
 
-use crate::generate::generate_eppp_session;
+use crate::generate::{generate_eppp_session, generate_eppp_session_capture};
 use crate::heuristic::{heuristic_from_cover_session, heuristic_session};
 use crate::minimize::{algorithm2_session, cached_eppp, sp_minimum};
 use crate::multi::multi_session_cached;
 use crate::{
-    EpppSet, GenLimits, Grouping, MultiSppResult, Pseudocube, SppCache, SppError, SppMinResult,
+    EpppSet, GenLimits, MultiSppResult, Pseudocube, SppCache, SppError, SppMinResult,
     SppOptions,
 };
 
 /// A configured minimization session — the front door of the crate.
 ///
-/// Build one per run: algorithm knobs (`grouping`, `limits`,
+/// Build one per run: algorithm knobs (`limits`,
 /// `cover_limits`, `threads`) and run control (`deadline`, `cancel_token`,
 /// `on_event`) chain fluently, then one of the `run_*` / `generate`
 /// methods executes. On deadline or cancellation every phase unwinds to a
@@ -49,11 +49,10 @@ use crate::{
 /// ```
 /// use std::time::Duration;
 /// use spp_boolfn::BoolFn;
-/// use spp_core::{Grouping, Minimizer, Outcome};
+/// use spp_core::{Minimizer, Outcome};
 ///
 /// let f = BoolFn::from_truth_fn(4, |x| x.count_ones() % 2 == 1);
 /// let r = Minimizer::new(&f)
-///     .grouping(Grouping::PartitionTrie)
 ///     .deadline(Duration::from_secs(5))
 ///     .run_exact();
 /// assert!(r.form.check_realizes(&f).is_ok());
@@ -109,13 +108,6 @@ impl<'f, F: ?Sized> Minimizer<'f, F> {
     #[must_use]
     pub fn options(mut self, options: SppOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Sets the structure-grouping strategy for candidate generation.
-    #[must_use]
-    pub fn grouping(mut self, grouping: Grouping) -> Self {
-        self.options.grouping = grouping;
         self
     }
 
@@ -217,16 +209,40 @@ impl Minimizer<'_> {
     /// cover exists even when the limits truncate the run.
     #[must_use]
     pub fn generate(&self) -> EpppSet {
+        self.generate_unrestricted(false)
+    }
+
+    /// [`Minimizer::generate`] by the earlier algorithm of Luccio–Pagli
+    /// \[5\], the baseline of the paper's Table 2: every level compares
+    /// all `|X|(|X|−1)/2` member pairs for structure equality, on one
+    /// worker, where Algorithm 2 compares only the pairs of each structure
+    /// group. Both return the same set for a run that is not truncated;
+    /// only the comparison count and the time differ.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use spp_boolfn::BoolFn;
+    /// use spp_core::Minimizer;
+    ///
+    /// let f = BoolFn::from_truth_fn(4, |x| x.count_ones() % 2 == 1);
+    /// let grouped = Minimizer::new(&f).generate();
+    /// let quad = Minimizer::new(&f).generate_quadratic();
+    /// assert_eq!(grouped.pseudocubes, quad.pseudocubes);
+    /// // ...but Algorithm 2 examined far fewer candidate pairs:
+    /// assert!(grouped.stats.comparisons <= quad.stats.comparisons);
+    /// ```
+    #[must_use]
+    pub fn generate_quadratic(&self) -> EpppSet {
+        self.generate_unrestricted(true)
+    }
+
+    fn generate_unrestricted(&self, quadratic: bool) -> EpppSet {
         // Only the unrestricted set is cacheable: a `generate_where`
         // predicate is an arbitrary closure with no stable cache key.
         cached_eppp(self.cache.as_ref(), self.f, 0, &self.ctx, || {
-            generate_eppp_session(
-                self.f,
-                self.options.grouping,
-                &self.options.gen_limits,
-                None,
-                &self.ctx,
-            )
+            let limits = &self.options.gen_limits;
+            generate_eppp_session_capture(self.f, quadratic, limits, None, &self.ctx, None)
         })
     }
 
@@ -242,13 +258,7 @@ impl Minimizer<'_> {
         &self,
         conforming: &(dyn Fn(&Pseudocube) -> bool + Sync),
     ) -> EpppSet {
-        generate_eppp_session(
-            self.f,
-            self.options.grouping,
-            &self.options.gen_limits,
-            Some(conforming),
-            &self.ctx,
-        )
+        generate_eppp_session(self.f, &self.options.gen_limits, Some(conforming), &self.ctx)
     }
 
     /// Runs the exact minimizer — the paper's **Algorithm 2** (EPPP
@@ -535,7 +545,6 @@ mod tests {
     fn builder_chain_configures_everything() {
         let f = BoolFn::from_truth_fn(3, |x| x.count_ones() % 2 == 1);
         let r = Minimizer::new(&f)
-            .grouping(Grouping::Quadratic)
             .limits(GenLimits::default().with_max_pseudocubes(50_000))
             .cover_limits(spp_cover::Limits::default())
             .threads(2)
@@ -908,9 +917,7 @@ multi: x̄0·x̄1·x̄2·x̄3·x4 + x̄0·x1·x̄2·x3·x̄4 + x̄0·x1·x2·x̄
     fn generate_matches_an_explicitly_configured_session() {
         let f = BoolFn::from_indices(4, &[0, 3, 5, 6, 9, 10, 12, 15]);
         let new = Minimizer::new(&f).generate();
-        let explicit = Minimizer::new(&f)
-            .grouping(Grouping::PartitionTrie)
-            .generate_where(&|_| true);
+        let explicit = Minimizer::new(&f).generate_where(&|_| true);
         assert_eq!(new.pseudocubes, explicit.pseudocubes);
         assert_eq!(new.stats.comparisons, explicit.stats.comparisons);
         assert_eq!(new.stats.total_generated, explicit.stats.total_generated);

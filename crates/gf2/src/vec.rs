@@ -198,7 +198,7 @@ impl Gf2Vec {
 
     /// The backing words, least-significant first. Bits at positions
     /// `>= len()` are zero by invariant. For word-level consumers (digest
-    /// folding, SIMD kernels) that want to skip the unused tail, the used
+    /// folding) that want to skip the unused tail, the used
     /// word count is `len().div_ceil(64)`.
     #[must_use]
     #[inline]

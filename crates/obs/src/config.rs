@@ -1,12 +1,11 @@
 //! Unified environment-knob handling.
 //!
-//! Before this module, `SPP_THREADS` (in `spp-par`) and `SPP_KERNEL`
-//! (in `spp-kernels`) each carried a private copy of the same contract:
-//! an unset variable silently falls back, a malformed one warns **once**
-//! on stderr naming the rejected value, and the parse half is pure so
-//! tests can cover it without touching the process environment. This
-//! module is that contract, written once; the serve daemon's
-//! `SPP_SERVE_*` knobs use it too.
+//! Every environment knob (`SPP_THREADS` in `spp-par`, the serve
+//! daemon's `SPP_SERVE_*`) follows one contract: an unset variable
+//! silently falls back, a malformed one warns **once** on stderr naming
+//! the rejected value, and the parse half is pure so tests can cover it
+//! without touching the process environment. This module is that
+//! contract, written once.
 //!
 //! # Examples
 //!
@@ -62,8 +61,8 @@ pub fn env_knob<T>(name: &str, parse: impl Fn(&str) -> Option<T>) -> Knob<T> {
 /// and a malformed value additionally [`warn_once`]s naming the rejected
 /// text and the fallback (`fallback_desc`).
 ///
-/// Callers that sample a knob once per process (the `SPP_THREADS` /
-/// `SPP_KERNEL` pattern) wrap this in their own `OnceLock`; the
+/// Callers that sample a knob once per process (the `SPP_THREADS`
+/// pattern) wrap this in their own `OnceLock`; the
 /// warn-once guarantee holds either way because the warning registry is
 /// keyed by variable name.
 pub fn resolve_knob<T>(
@@ -95,8 +94,7 @@ fn warned() -> &'static Mutex<HashSet<String>> {
 ///
 /// A typo'd override silently falling back is a debugging trap, but a
 /// per-call warning from a hot path is noise — this is the single
-/// shared warn-once path every knob (and the kernel dispatcher's
-/// unsupported-backend notice) routes through.
+/// shared warn-once path every knob routes through.
 pub fn warn_once(key: &str, message: &str) -> bool {
     let fresh = warned()
         .lock()

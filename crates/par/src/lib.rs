@@ -262,7 +262,7 @@ fn chunk_bounds(count: usize, workers: usize, w: usize) -> Range<usize> {
 /// Like [`par_ranges`], but every interior shard boundary is rounded down
 /// to a multiple of `align`, so each worker except the last receives a
 /// whole number of `align`-sized blocks. Shards over word-packed data
-/// (e.g. 64 bits per `u64`, or a SIMD block of words) then never split a
+/// (e.g. 64 bits per `u64`) then never split a
 /// block across workers. The union of the ranges is still exactly
 /// `0..count`, in order; with pathological `workers × align > count` some
 /// trailing ranges may be empty.
@@ -310,7 +310,7 @@ mod tests {
     #[test]
     fn spp_threads_parsing() {
         // The SPP_THREADS grammar now lives in spp_obs::config (shared
-        // with SPP_KERNEL and the SPP_SERVE_* knobs); unset is
+        // with the SPP_SERVE_* knobs); unset is
         // distinguished from malformed so that only the latter warns.
         use spp_obs::config::{parse_knob, parse_positive_usize, Knob};
         assert_eq!(parse_knob(None, parse_positive_usize), Knob::Unset);

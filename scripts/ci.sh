@@ -4,8 +4,7 @@
 #   scripts/ci.sh
 #
 # Runs the offline-friendly default build (no criterion), the full test
-# suite plus doctests twice (auto-detected kernel backend, then
-# SPP_KERNEL=scalar), the fault-injection suite under --features
+# suite plus doctests, the fault-injection suite under --features
 # failpoints (with explicit panic-isolation and poison-recovery gates),
 # clippy and rustdoc with warnings denied, a compile check of the
 # feature-gated Criterion bench targets, CLI smokes of the deadline- and
@@ -19,7 +18,7 @@
 # round-trip smoke, a two-process shared --cache-dir smoke (concurrent
 # writers, bit-identical answers), a serve smoke (daemon up, spp-loadgen
 # drive, SIGINT drain), jq gates on the spp-bench/8 baseline including
-# its kernel_backend, cache-stats, per-entry forms races, server, and
+# its cache-stats, per-entry forms races, server, and
 # incremental (delta-splice) fields, and — last, because it rebuilds the
 # release binaries with --features failpoints — a chaos smoke that
 # drives a daemon whose workers panic after every job and gates on zero
@@ -31,11 +30,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test -q (auto-detected kernel backend)"
+echo "==> cargo test -q"
 cargo test --workspace -q
-
-echo "==> SPP_KERNEL=scalar cargo test -q (scalar backend must pass identically)"
-SPP_KERNEL=scalar cargo test --workspace -q
 
 echo "==> cargo test --doc (documentation examples must compile AND run)"
 cargo test --workspace --doc -q
@@ -210,7 +206,7 @@ kill -INT "$SERVE_PID"
 wait "$SERVE_PID"
 trap - EXIT
 
-echo "==> bench schema smoke (report --json must emit spp-bench/8 + backend + cache + server stats)"
+echo "==> bench schema smoke (report --json must emit spp-bench/8 + cache + server stats)"
 rm -rf /tmp/spp-ci-bench-cache
 ./target/release/report --json --threads 1 --cache-dir /tmp/spp-ci-bench-cache \
   -o /tmp/spp-ci-bench.json >/dev/null
@@ -221,8 +217,6 @@ jq -e '.server | .concurrency >= 1024 and .errors == 0 and
        .completed == .requests and .verified == .completed and
        .p50_ms > 0 and .p99_ms >= .p50_ms and .throughput_rps > 0 and
        .cache_hit_rate != null' /tmp/spp-ci-bench.json >/dev/null
-# The dispatched kernel backend must be recorded and be a known name.
-jq -e '.kernel_backend | IN("scalar", "avx2", "neon")' /tmp/spp-ci-bench.json >/dev/null
 # Every cache-stats field of the schema must be present.
 jq -e '.cache | has("hits") and has("misses") and has("disk_hits") and
        has("insertions") and has("evictions") and has("corrupt_skipped") and

@@ -61,11 +61,7 @@
 //!   --cache-mb <m>     in-memory result cache of m MiB (implied 64 MiB when
 //!                      only --cache-dir is given); entries beyond the budget
 //!                      are evicted least-recently-used
-//!   --progress         print progress events (levels, covers) to stderr,
-//!                      starting with the selected SIMD kernel backend
-//!                      (override with SPP_KERNEL=scalar|avx2|neon|auto;
-//!                      results are identical on every backend, only wall
-//!                      time differs)
+//!   --progress         print progress events (levels, covers) to stderr
 //!   --events-json <f>  append progress events to <f> as JSON lines
 //!   --verilog <mod>    print a structural Verilog module
 //!   --blif <model>     print a BLIF model
@@ -143,9 +139,7 @@ fn usage() -> ExitCode {
          spp serve listens on --addr (default SPP_SERVE_ADDR, else an \
          ephemeral loopback port) and drains cleanly on SIGINT/SIGTERM; \n\
          worker threads default to the SPP_THREADS env var, else all cores; \
-         --threads wins over SPP_THREADS; \
-         SPP_KERNEL=scalar|avx2|neon|auto picks the bitset kernel backend \
-         (default: auto-detect; results are identical on every backend)"
+         --threads wins over SPP_THREADS"
     );
     ExitCode::FAILURE
 }
@@ -452,9 +446,6 @@ fn run(outputs: &[BoolFn], labels: &[String], options: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if options.progress {
-        eprintln!("kernel backend: {}", spp::kernels::active().name());
-    }
     // One shared request envelope: the same `MinimizeRequest` mode +
     // `ExecEnv` pair the library sessions and `spp serve` use, so a CLI
     // one-shot answer is bit-identical to a daemon answer with the same

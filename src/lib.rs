@@ -26,7 +26,6 @@ pub use spp_cache as cache;
 pub use spp_core as core;
 pub use spp_cover as cover;
 pub use spp_gf2 as gf2;
-pub use spp_kernels as kernels;
 pub use spp_netlist as netlist;
 pub use spp_obs as obs;
 pub use spp_serve as serve;

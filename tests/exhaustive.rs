@@ -3,7 +3,7 @@
 //! true minimum-literal SPP cover with the exact covering solver, and
 //! check the library's Algorithm 2 pipeline reaches the same optimum.
 
-use spp::core::{Grouping, Minimizer, Pseudocube, SppOptions};
+use spp::core::{Minimizer, Pseudocube, SppOptions};
 use spp::cover::{solve_exact, CoverProblem, Limits};
 use spp::gf2::Gf2Vec;
 use spp::prelude::*;
@@ -118,7 +118,7 @@ fn eppp_set_dominates_every_pseudocube() {
     // the covering to EPPPs loses nothing.
     for tt in [0x96u16, 0x3C, 0xE8, 0x57, 0xAB] {
         let f = BoolFn::from_truth_fn(3, |x| tt >> x & 1 == 1);
-        let eppp = Minimizer::new(&f).grouping(Grouping::PartitionTrie).generate();
+        let eppp = Minimizer::new(&f).generate();
         for pc in all_pseudocubes_within(&f) {
             let dominated = eppp
                 .pseudocubes
@@ -142,9 +142,7 @@ fn generation_finds_exactly_the_pseudocubes_of_f() {
         let f = BoolFn::from_truth_fn(3, |x| tt >> x & 1 == 1);
         // Re-derive the generated universe from level stats: retained is a
         // subset; instead generate with a filter that retains everything.
-        let eppp = Minimizer::new(&f)
-            .grouping(Grouping::PartitionTrie)
-            .generate_where(&|_| true);
+        let eppp = Minimizer::new(&f).generate_where(&|_| true);
         // Retained ⊆ all pseudocubes within f.
         let universe: std::collections::HashSet<Pseudocube> =
             all_pseudocubes_within(&f).into_iter().collect();

@@ -5,7 +5,7 @@
 use std::collections::HashSet;
 
 use spp::benchgen::registry;
-use spp::core::{GenLimits, Grouping, Minimizer, Pseudocube, SppOptions};
+use spp::core::{GenLimits, Minimizer, Pseudocube, SppOptions};
 use spp::prelude::*;
 use spp::sp::minimize_sp;
 
@@ -37,11 +37,9 @@ fn groupings_generate_identical_eppp_sets_on_benchmarks() {
     // life's single output restricted to a slice keeps this fast.
     let life = registry::circuit("life").unwrap();
     let f = life.output(0).cofactor_slice(&[0, 1, 2, 3, 8], &spp::gf2::Gf2Vec::zeros(9));
-    let eppp_with = |grouping| -> HashSet<_> {
-        Minimizer::new(&f).grouping(grouping).generate().pseudocubes.into_iter().collect()
-    };
-    let trie = eppp_with(Grouping::PartitionTrie);
-    let quad = eppp_with(Grouping::Quadratic);
+    let session = Minimizer::new(&f);
+    let trie: HashSet<_> = session.generate().pseudocubes.into_iter().collect();
+    let quad: HashSet<_> = session.generate_quadratic().pseudocubes.into_iter().collect();
     assert_eq!(trie, quad);
 }
 
