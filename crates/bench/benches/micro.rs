@@ -132,7 +132,7 @@ fn bench_cover(c: &mut Criterion) {
     // maj5 output 0's covering matrix, built from its EPPP set as the
     // exact session builds it: 16 ON-set rows, 65 columns costing their
     // literals. Greedy already finds the optimum (20); the proof takes
-    // 3,634 nodes, so this times the per-node reductions.
+    // 1,190 nodes, so this times the per-node reductions.
     let circuit = spp_benchgen::registry::circuit("maj5").unwrap();
     let f = &circuit.outputs()[0];
     let on = f.on_set();

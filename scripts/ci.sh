@@ -10,7 +10,8 @@
 # feature-gated Criterion bench targets, CLI smokes of the deadline- and
 # memory-degradation paths (the rung ladder alone and nested inside the
 # form race), an adr4 smoke that every cover is proved optimal, a
-# determinism smoke (two --threads 1 runs of adr4 and root, diffed), a
+# determinism smoke (two --threads 1 runs of adr4, root and maj5,
+# diffed), a
 # thread-count smoke (adr4, dist, g2b8, adr4 --2spp, adr4 --heuristic 0
 # and test1 --heuristic 0 at --threads 1 and 2, diffed), adr4 smokes of the
 # 2-SPP, SPP_k heuristic and multi-output modes, a Table 2 drift check
@@ -77,7 +78,10 @@ fi
 echo "==> CLI determinism smoke (two --threads 1 runs: identical answers and events)"
 # root[3]'s generation stops on the union budget mid-level, so the set it
 # keeps depends on the order in which the one-worker sweep visits pairs.
-for BENCH in adr4 root; do
+# maj5[0]'s 1,190-node proof is the registry cover where reduced-cost
+# fixing runs at most nodes, so its node counts and subtree events pin
+# the fixing to the state and the warm start alone (about 10 ms a run).
+for BENCH in adr4 root maj5; do
   for RUN in a b; do
     ./target/release/spp bench "$BENCH" --threads 1 --quiet \
       --events-json "/tmp/spp-ci-det-$RUN.events" >"/tmp/spp-ci-det-$RUN.out"
