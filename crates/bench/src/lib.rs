@@ -253,7 +253,7 @@ pub fn timed_eppp_with<'f>(
 /// Generates the EPPP set of `f` under explicit limits with a result
 /// cache attached, timing it. A second call against the same (or a
 /// persisted) cache answers from it without re-generating — the warm
-/// half of the `report --json` baseline.
+/// half of `cache_probe`'s `warm` ratio.
 #[must_use]
 pub fn timed_eppp_cached<'f>(
     f: &'f BoolFn,
@@ -282,6 +282,28 @@ pub fn table2_gen_limits(mode: Mode) -> spp_core::GenLimits {
             .with_time_limit(Some(Duration::from_secs(900)))
             .with_parallelism(spp_core::Parallelism::AUTO),
     }
+}
+
+/// The outputs `cache_probe` times cache hits and delta edits on: the
+/// harness's hardest outputs, each with a complete fast-profile EPPP set.
+pub const PROBE_ROWS: &[(&str, usize)] =
+    &[("life", 0), ("adr4", 3), ("dist", 1), ("root", 1), ("mlp4", 5)];
+
+/// `f` with its lowest OFF point flipped ON — a Hamming-distance-1
+/// sibling with an identical DC set, i.e. exactly the edit-stream shape
+/// the cache's delta-splice path serves.
+///
+/// # Panics
+///
+/// Panics if `f` has no OFF point (a tautology has no such sibling).
+#[must_use]
+pub fn one_flip_edit(f: &BoolFn) -> BoolFn {
+    let n = f.num_vars();
+    let taken: std::collections::HashSet<u64> =
+        f.on_set().iter().chain(f.dc_set()).map(|p| p.as_words()[0]).collect();
+    let flip = (0..1u64 << n).find(|i| !taken.contains(i)).expect("f has an OFF point");
+    let on = f.on_set().iter().cloned().chain(std::iter::once(spp_gf2::Gf2Vec::from_u64(n, flip)));
+    BoolFn::with_dont_cares(n, on, f.dc_set().iter().cloned())
 }
 
 /// Formats a value with the paper's star convention: `{v}*` when the

@@ -494,8 +494,8 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// The snapshot as one JSON object, in the field style of the
-    /// `spp-bench/4` baseline (`report --json`).
+    /// The snapshot as one JSON object: the `cache` field of the daemon's
+    /// `{"op":"stats"}` and `{"op":"health"}` replies.
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
@@ -1284,7 +1284,7 @@ mod tests {
         let json = CacheStats::default().to_json();
         for field in [
             "hits", "misses", "disk_hits", "insertions", "evictions", "corrupt_skipped",
-            "warm_starts", "entries", "bytes",
+            "quarantined", "warm_starts", "delta_reuses", "delta_rejects", "entries", "bytes",
         ] {
             assert!(json.contains(&format!("\"{field}\": ")), "missing {field} in {json}");
         }

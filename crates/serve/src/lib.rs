@@ -25,8 +25,8 @@
 //! `timeout` error — so one bad request never takes the daemon down.
 //!
 //! [`loadgen`] is the matching deterministic load generator (the
-//! `spp-loadgen` binary), used by the integration tests, CI smoke and
-//! the `report --json` server benchmark section.
+//! `spp-loadgen` binary), used by the integration tests and the CI
+//! serve smoke.
 
 #![warn(missing_docs)]
 

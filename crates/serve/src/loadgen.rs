@@ -135,8 +135,7 @@ pub struct LoadgenReport {
 }
 
 impl LoadgenReport {
-    /// The report as one JSON object (the shape embedded by
-    /// `report --json` under `"server"`).
+    /// The report as one JSON object (what `spp-loadgen --json` prints).
     #[must_use]
     pub fn to_json(&self, concurrency: usize) -> String {
         let hit_rate = match self.cache_hit_rate {

@@ -18,9 +18,8 @@
 # (the comparison counts of results_table2.txt), a --cache-dir
 # round-trip smoke, a two-process shared --cache-dir smoke (concurrent
 # writers, bit-identical answers), a serve smoke (daemon up, spp-loadgen
-# drive, SIGINT drain), jq gates on the spp-bench/8 baseline including
-# its cache-stats, per-entry forms races, server, and
-# incremental (delta-splice) fields, and — last, because it rebuilds the
+# drive, SIGINT drain), jq gates on cache_probe's delta-splice and
+# warm-hit timings, and — last, because it rebuilds the
 # release binaries with --features failpoints — a chaos smoke that
 # drives a daemon whose workers panic after every job and gates on zero
 # lost and zero unverified responses.
@@ -210,52 +209,18 @@ kill -INT "$SERVE_PID"
 wait "$SERVE_PID"
 trap - EXIT
 
-echo "==> bench schema smoke (report --json must emit spp-bench/8 + cache + server stats)"
-rm -rf /tmp/spp-ci-bench-cache
-./target/release/report --json --threads 1 --cache-dir /tmp/spp-ci-bench-cache \
-  -o /tmp/spp-ci-bench.json >/dev/null
-jq -e '.schema == "spp-bench/8"' /tmp/spp-ci-bench.json >/dev/null
-# The server section: a real 1k-concurrency loadgen run, never dropped
-# or unverified requests, with latency and throughput fields populated.
-jq -e '.server | .concurrency >= 1024 and .errors == 0 and
-       .completed == .requests and .verified == .completed and
-       .p50_ms > 0 and .p99_ms >= .p50_ms and .throughput_rps > 0 and
-       .cache_hit_rate != null' /tmp/spp-ci-bench.json >/dev/null
-# Every cache-stats field of the schema must be present.
-jq -e '.cache | has("hits") and has("misses") and has("disk_hits") and
-       has("insertions") and has("evictions") and has("corrupt_skipped") and
-       has("quarantined") and has("warm_starts") and has("entries") and
-       has("bytes")' \
-  /tmp/spp-ci-bench.json >/dev/null
-# The caching run must actually have cached something...
-jq -e '.cache.insertions >= 1 and .cache.hits >= 1' /tmp/spp-ci-bench.json >/dev/null
-# ...and every cache-warmed re-generation must be far cheaper than cold.
-jq -e '[.entries[] | select(.warm_wall_ms != null) | .warm_wall_ms / .wall_ms_min]
-       | length >= 1 and max < 0.1' /tmp/spp-ci-bench.json >/dev/null
-# Every entry carries the generation-phase split and its probe's delta
-# counters (spp-bench/7 fields).
-jq -e '[.entries[] | has("gen_ms") and has("delta_reuses") and has("delta_rejects")]
-       | all' /tmp/spp-ci-bench.json >/dev/null
-# Every entry carries the four-form race (spp-bench/8): a winner from the
-# known set, each form reported, and the winner's cost is <= every
-# verified entrant's cost -- the race invariant, checked on real circuits.
-jq -e '[.entries[] | .forms
-       | (.winner | IN("spp", "esop", "dsop", "sop"))
-         and has("spp") and has("esop") and has("dsop") and has("sop")
-         and ([.winner_cost as $w | (.spp, .esop, .dsop, .sop)
-               | select(.cost != null) | .cost >= $w] | all)]
-       | all' /tmp/spp-ci-bench.json >/dev/null
-# The SPP entrant must compete in every golden-registry race (the
-# winner can never cost more than a verified SPP form).
-jq -e '[.entries[] | .forms | .winner_cost <= .spp.cost] | all'   /tmp/spp-ci-bench.json >/dev/null
+echo "==> cache probe (delta-splice and warm-hit timings on the probe rows)"
+./target/release/cache_probe --threads 1 >/tmp/spp-ci-cache-probe.json
+# Every cache-warmed re-generation must be far cheaper than cold.
+jq -e '.warm.rows >= 1 and .warm.ratio_max < 0.1' /tmp/spp-ci-cache-probe.json >/dev/null
 # The incremental probe: every row's one-minterm edit must be answered by
 # a delta splice (no rejects), the spliced generation phase must be an
 # order of magnitude cheaper than cold, end-to-end latency must improve
 # in aggregate, and the best cover-light row must gain >= 10x end-to-end.
 jq -e '.incremental | .delta_reuses >= 5 and .delta_rejects == 0 and
        .gen_speedup >= 8 and .speedup >= 2 and .best_speedup >= 10' \
-  /tmp/spp-ci-bench.json >/dev/null
-rm -rf /tmp/spp-ci-bench.json /tmp/spp-ci-bench-cache
+  /tmp/spp-ci-cache-probe.json >/dev/null
+rm -f /tmp/spp-ci-cache-probe.json
 
 echo "==> chaos smoke (failpoints build: panicking workers, zero lost responses)"
 # Last gate: this rebuild bakes --features failpoints into the release

@@ -381,3 +381,24 @@ fn multi_output_sessions_cache_and_report_consistently() {
     assert!(stats.hits > after_cold.hits, "the re-run must hit: {stats}");
     assert_eq!(stats.corrupt_skipped, 0);
 }
+
+/// A warm EPPP hit never regenerates, counted rather than timed: on
+/// mlp4's output 5 (4,604 pseudocubes) the second `generate` through the
+/// same cache returns the cold set bit for bit with zero comparisons,
+/// one more hit and no further insertion.
+#[test]
+fn warm_eppp_hits_on_a_real_circuit_compare_no_pairs() {
+    let f = spp::benchgen::registry::circuit("mlp4").unwrap().output_on_support(5);
+    let cache = SppCache::in_memory(64 * 1024 * 1024);
+    let cold = Minimizer::new(&f).threads(1).cache(cache.clone()).generate();
+    assert!(!cold.stats.truncated, "mlp4(5)'s set must be complete to be cached");
+    assert!(cold.stats.comparisons > 0);
+    let after_cold = cache.stats();
+    let warm = Minimizer::new(&f).threads(1).cache(cache.clone()).generate();
+    let stats = cache.stats();
+    assert_eq!(warm.pseudocubes, cold.pseudocubes, "the hit must return the cold set");
+    assert_eq!(warm.stats.comparisons, 0, "a hit must not compare any pair");
+    assert!(stats.insertions >= 1, "the cold run must insert its set: {stats}");
+    assert_eq!(stats.insertions, after_cold.insertions, "a hit inserts nothing: {stats}");
+    assert_eq!(stats.hits, after_cold.hits + 1, "the second run must be one hit: {stats}");
+}

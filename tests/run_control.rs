@@ -73,8 +73,8 @@ fn cancelled_heuristic_still_realizes_f() {
     r.form.check_realizes(&f).unwrap();
 }
 
-/// Outcome identifiers round-trip (they are part of the JSON baseline
-/// schema, so their spelling is load-bearing).
+/// Outcome identifiers round-trip (they are part of the wire protocol
+/// and the event stream, so their spelling is load-bearing).
 #[test]
 fn outcome_identifiers_round_trip() {
     for o in [Outcome::Completed, Outcome::DeadlineExceeded, Outcome::Cancelled] {
