@@ -1,11 +1,12 @@
 //! Criterion end-to-end benchmarks: whole minimization runs on benchmark
-//! slices — exact Algorithm 2, the SPP_0 heuristic and the SP baseline.
+//! slices — exact Algorithm 2, the SPP_0 heuristic and the SP baseline,
+//! with the SP baseline's Quine–McCluskey prime generation on its own.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use spp_benchgen::registry;
 use spp_boolfn::BoolFn;
 use spp_core::{Minimizer, SppOptions};
-use spp_sp::minimize_sp;
+use spp_sp::{minimize_sp, prime_implicants};
 
 fn slices() -> Vec<(&'static str, BoolFn)> {
     vec![
@@ -64,6 +65,9 @@ fn bench_sp(c: &mut Criterion) {
     for (name, f) in slices() {
         c.bench_function(&format!("sp/{name}"), |b| {
             b.iter(|| black_box(minimize_sp(&f, &limits)))
+        });
+        c.bench_function(&format!("prime_implicants/{name}"), |b| {
+            b.iter(|| black_box(prime_implicants(&f)))
         });
     }
 }

@@ -26,7 +26,7 @@ fn main() {
         assert!(sp.form.realizes(&f), "SP form failed verification");
         println!(
             "SP:  #PI {:6}  #L {:6}  #P {:5}   [{} s]",
-            sp.num_primes,
+            sp.primes.len(),
             sp.literal_count(),
             sp.form.num_products(),
             secs(sp_dt)

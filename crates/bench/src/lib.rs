@@ -133,7 +133,7 @@ pub struct SppAggregate {
 
 /// Runs SP minimization on one output and folds it into the aggregate.
 pub fn add_sp(agg: &mut SpAggregate, r: &SpMinResult) {
-    agg.num_primes += r.num_primes;
+    agg.num_primes += r.primes.len();
     agg.literals += r.literal_count();
     agg.products += r.form.num_products();
     agg.truncated |= !r.optimal;

@@ -3,6 +3,7 @@
 //! phase timer, EPPP generation through the cache and the covering
 //! phase.
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
@@ -123,6 +124,29 @@ pub(crate) fn sp_minimum(f: &BoolFn, limits: &spp_cover::Limits) -> spp_sp::SpMi
     spp_sp::minimize_sp(f, limits)
 }
 
+/// One session's SP minimum: [`sp_minimum`] of `f` under the session's
+/// covering limits, computed on first use and then shared by every user
+/// in the session — the truncated-pool candidates and backstop of
+/// [`algorithm2_session`], the plan backstop, and the race's DSOP and
+/// SOP entrants. A session is one `run_*` call of a
+/// [`crate::Minimizer`]; the ladder nested in a race shares the race's.
+pub(crate) struct SessionSp<'a> {
+    f: &'a BoolFn,
+    limits: &'a spp_cover::Limits,
+    minimum: OnceCell<spp_sp::SpMinResult>,
+}
+
+impl<'a> SessionSp<'a> {
+    pub(crate) fn new(f: &'a BoolFn, limits: &'a spp_cover::Limits) -> Self {
+        SessionSp { f, limits, minimum: OnceCell::new() }
+    }
+
+    /// The SP minimum, computed by the first call.
+    pub(crate) fn get(&self) -> &spp_sp::SpMinResult {
+        self.minimum.get_or_init(|| sp_minimum(self.f, self.limits))
+    }
+}
+
 /// Runs `body` as one `phase` of a session, between its `PhaseStarted`
 /// and `PhaseFinished` events; the latter carries the outcome `body`
 /// reports and the phase's wall time, which is returned too. Every phase
@@ -157,6 +181,10 @@ pub(crate) fn timed_phase<T>(
 /// result (same function, different options) warm-starts the covering
 /// search. Completed work flows back into the cache on the way out.
 ///
+/// A truncated generation falls back on the session's SP minimum `sp`
+/// (computed under `options.cover_limits`): its primes join the
+/// candidates, and its form replaces a costlier cover.
+///
 /// # Errors
 ///
 /// [`SppError::ZeroFactorWidth`] when `max_factor_literals` is `Some(0)`.
@@ -166,6 +194,7 @@ pub(crate) fn algorithm2_session(
     options: &SppOptions,
     ctx: &RunCtx,
     cache: Option<&SppCache>,
+    sp: &SessionSp<'_>,
 ) -> Result<SppMinResult, SppError> {
     if max_factor_literals == Some(0) {
         return Err(SppError::ZeroFactorWidth);
@@ -193,7 +222,9 @@ pub(crate) fn algorithm2_session(
             // ("in the worst case, SP and SPP forms coincide" — paper §1)
             // even under a budget, in every family.
             let known: HashSet<&Pseudocube> = candidates.iter().collect();
-            let extra: Vec<Pseudocube> = spp_sp::prime_implicants(f)
+            let extra: Vec<Pseudocube> = sp
+                .get()
+                .primes
                 .iter()
                 .map(Pseudocube::from_cube)
                 .filter(|pc| !known.contains(pc))
@@ -226,9 +257,9 @@ pub(crate) fn algorithm2_session(
                 // Junk-heavy truncated pools can mislead the greedy cover;
                 // the SP minimum is always a valid SPP form, so never
                 // return worse.
-                let sp = sp_minimum(f, &options.cover_limits);
-                if sp.form.literal_count() < form.literal_count() {
-                    form = SppForm::from_sp(&sp.form);
+                let sp = &sp.get().form;
+                if sp.literal_count() < form.literal_count() {
+                    form = SppForm::from_sp(sp);
                 }
             }
             (form, cover.optimal)
@@ -257,7 +288,8 @@ pub(crate) fn algorithm2_session(
 /// [`algorithm2_session`] on the unrestricted family, without a cache.
 #[cfg(test)]
 pub(crate) fn exact_session(f: &BoolFn, options: &SppOptions, ctx: &RunCtx) -> SppMinResult {
-    algorithm2_session(f, None, options, ctx, None).expect("no width to reject")
+    let sp = SessionSp::new(f, &options.cover_limits);
+    algorithm2_session(f, None, options, ctx, None, &sp).expect("no width to reject")
 }
 
 /// The unrestricted EPPP set of `f` through the cache. On a miss, in

@@ -31,7 +31,7 @@ use spp_esop::{EsopForm, EsopLimits};
 use spp_obs::{Form, Outcome, RunCtx, Rung};
 use spp_sp::{SpForm, SpMinResult};
 
-use crate::minimize::sp_minimum;
+use crate::minimize::SessionSp;
 use crate::session::{Attempt, Minimizer, Pick};
 use crate::SppForm;
 
@@ -311,6 +311,12 @@ impl Minimizer<'_> {
     /// excluded (memory-exceeded or unverified), the SP minimum backstops
     /// the race exactly as it backstops the ladder.
     ///
+    /// The race computes the SP minimum at most once, on first use, and
+    /// every user shares it: the SOP entrant answers with it, the DSOP
+    /// entrant splits its cover into disjoint products, and the ladder
+    /// nested in the SPP entrant takes its backstop and truncated-pool
+    /// guards from it.
+    ///
     /// ESOP, DSOP and SOP results of *complete* runs are cached per form
     /// when the session has a cache, so re-racing a function warms every
     /// lane, not just the SPP one.
@@ -336,20 +342,24 @@ impl Minimizer<'_> {
     /// Panics if `f.num_vars() > 24` (the cube engines expand minterms).
     #[must_use]
     pub fn run_portfolio(&self, portfolio: &FormPortfolio) -> PortfolioResult {
-        self.race(&portfolio.entrants(), portfolio.cost_objective(), |form| self.run_form(form))
+        let sp = self.session_sp();
+        let entrants = portfolio.entrants();
+        self.race(&entrants, portfolio.cost_objective(), &sp, |form| self.run_form(form, &sp))
     }
 
     /// The race plan: `entrants` in order, each run by `run`, the cheapest
-    /// accepted one winning under `objective`.
+    /// accepted one winning under `objective`; `sp` is the race's SP
+    /// minimum, which backstops it.
     fn race(
         &self,
         entrants: &[Form],
         objective: Objective,
+        sp: &SessionSp<'_>,
         mut run: impl FnMut(Form) -> FormRun,
     ) -> PortfolioResult {
         let price = |r: &FormRun| r.realization.cost(objective);
         let pick = Pick::Cheapest(&price);
-        let (won, verdicts) = self.run_plan(entrants, pick, |form| Some(run(form)));
+        let (won, verdicts) = self.run_plan(entrants, pick, sp, |form| Some(run(form)));
         let reports = verdicts
             .into_iter()
             .map(|v| PortfolioReport {
@@ -373,12 +383,14 @@ impl Minimizer<'_> {
 
     /// Runs one entrant, going through the per-form cache for the cube
     /// forms (SPP results already flow through the result/EPPP caches
-    /// inside the rung ladder).
-    fn run_form(&self, form: Form) -> FormRun {
+    /// inside the rung ladder). The DSOP and SOP entrants are both built
+    /// from the race's SP minimum `sp`: SOP answers with its cover, DSOP
+    /// splits that cover into disjoint products.
+    fn run_form(&self, form: Form, sp: &SessionSp<'_>) -> FormRun {
         let cube_rung = |optimal| if optimal { Rung::Exact } else { Rung::Heuristic };
         let (realization, optimal, outcome, rung) = match form {
             Form::Spp => {
-                let r = self.run_governed();
+                let r = self.governed(sp);
                 (FormRealization::Spp(r.form), r.optimal, r.outcome, r.rung)
             }
             Form::Esop => {
@@ -399,11 +411,11 @@ impl Minimizer<'_> {
                     let rung = cube_rung(optimal);
                     (FormRealization::Dsop(form), optimal, Outcome::Completed, rung)
                 } else {
-                    let r =
-                        spp_dsop::minimize_dsop(self.f, &self.options.cover_limits, &self.ctx);
-                    self.store_cubes(Form::Dsop, r.form.cubes(), r.optimal, r.outcome);
-                    let rung = cube_rung(r.optimal);
-                    (FormRealization::Dsop(r.form), r.optimal, r.outcome, rung)
+                    // A heuristic: DSOP minimality is never proved.
+                    let form = spp_dsop::disjoint_split(&sp.get().form);
+                    let outcome = self.ctx.stop_reason().unwrap_or_default();
+                    self.store_cubes(Form::Dsop, form.cubes(), false, outcome);
+                    (FormRealization::Dsop(form), false, outcome, cube_rung(false))
                 }
             }
             Form::Sop => {
@@ -411,10 +423,10 @@ impl Minimizer<'_> {
                     let form = SpForm::new(self.f.num_vars(), cubes);
                     (FormRealization::Sop(form), optimal, Outcome::Completed, Rung::Sop)
                 } else {
-                    let sp = sp_minimum(self.f, &self.options.cover_limits);
+                    let sp = sp.get();
                     let outcome = self.ctx.stop_reason().unwrap_or_default();
                     self.store_cubes(Form::Sop, sp.form.cubes(), sp.optimal, outcome);
-                    (FormRealization::Sop(sp.form), sp.optimal, outcome, Rung::Sop)
+                    (FormRealization::Sop(sp.form.clone()), sp.optimal, outcome, Rung::Sop)
                 }
             }
         };
@@ -462,10 +474,10 @@ impl Attempt for FormRun {
         self.realization.realizes(f)
     }
 
-    fn backstop(sp: SpMinResult, outcome: Outcome, _elapsed: Duration, _ctx: &RunCtx) -> Self {
+    fn backstop(sp: &SpMinResult, outcome: Outcome, _elapsed: Duration, _ctx: &RunCtx) -> Self {
         // The backstop never proves optimality (and a *governed* SOP
         // entrant that lost verification would not have either).
-        let realization = FormRealization::Sop(sp.form);
+        let realization = FormRealization::Sop(sp.form.clone());
         FormRun { realization, optimal: false, outcome, rung: Rung::Sop }
     }
 }
@@ -599,7 +611,8 @@ mod tests {
         let f = BoolFn::from_truth_fn(4, |x| x % 3 == 1);
         let buf = Buf::default();
         let m = Minimizer::new(&f).on_event(Arc::new(JsonLinesSink::new(buf.clone())));
-        let r = m.race(&[Form::Esop, Form::Dsop], Objective::Literals, |form| FormRun {
+        let sp = m.session_sp();
+        let r = m.race(&[Form::Esop, Form::Dsop], Objective::Literals, &sp, |form| FormRun {
             realization: match form {
                 Form::Esop => FormRealization::Esop(EsopForm::new(4, Vec::new())),
                 _ => FormRealization::Dsop(DsopForm::new(4, Vec::new())),
@@ -649,6 +662,86 @@ mod tests {
         // result cache, counted separately).
         assert!(cache.stats().hits >= baseline + 3, "stats: {:?}", cache.stats());
         assert!(warm.reports.iter().all(|rep| rep.outcome == Outcome::Completed));
+    }
+
+    /// Four dense 5-input functions and four 6-input unions of affine
+    /// subspaces (the XOR-rich kind where SPP beats SOP), drawn by
+    /// SplitMix64 so they are the same on every host.
+    fn seeded_race_functions() -> Vec<BoolFn> {
+        let mut state = 0x7ace_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut fns = Vec::new();
+        for eighths in [4, 5, 6, 5] {
+            let on: Vec<bool> = (0..32).map(|_| next() % 8 < eighths).collect();
+            fns.push(BoolFn::from_truth_fn(5, |x| on[x as usize]));
+        }
+        for _ in 0..4 {
+            let mut on = [false; 64];
+            for _ in 0..3 {
+                // `6 - dim` random parity constraints `a·x = b`.
+                let dim = 1 + next() % 3;
+                let constraints: Vec<(u64, u64)> =
+                    (0..6 - dim).map(|_| (1 + next() % 63, next() % 2)).collect();
+                for (p, bit) in (0u64..).zip(on.iter_mut()) {
+                    *bit |= constraints
+                        .iter()
+                        .all(|&(a, b)| u64::from((a & p).count_ones() % 2) == b);
+                }
+            }
+            fns.push(BoolFn::from_truth_fn(6, |x| on[x as usize]));
+        }
+        fns
+    }
+
+    #[test]
+    fn dsop_and_sop_entrants_split_one_sp_cover() {
+        use Form::{Esop, Spp};
+        // Winner, cost and the (form, cost, accepted) scoreboard of each
+        // race: the SP minimum computed once per race changes none of them.
+        let pinned: [(Form, u64, [u64; 4]); 8] = [
+            (Spp, 18, [18, 21, 40, 30]),
+            (Spp, 12, [12, 19, 32, 20]),
+            (Esop, 13, [15, 13, 32, 22]),
+            (Spp, 17, [17, 25, 31, 28]),
+            (Spp, 22, [22, 46, 79, 77]),
+            (Spp, 18, [18, 42, 52, 50]),
+            (Spp, 18, [18, 31, 31, 30]),
+            (Spp, 19, [19, 32, 49, 49]),
+        ];
+        for (f, (winner, cost, costs)) in seeded_race_functions().iter().zip(pinned) {
+            let m = Minimizer::new(f);
+            let sp = m.session_sp();
+            let mut built = Vec::new();
+            let r = m.race(&Form::ALL, Objective::Literals, &sp, |form| {
+                let run = m.run_form(form, &sp);
+                built.push(run.realization.clone());
+                run
+            });
+            let board: Vec<(Form, Option<u64>, bool)> =
+                r.reports.iter().map(|rep| (rep.form, rep.cost, rep.accepted)).collect();
+            let expected: Vec<(Form, Option<u64>, bool)> =
+                Form::ALL.into_iter().zip(costs).map(|(form, c)| (form, Some(c), true)).collect();
+            assert_eq!((r.winner, r.cost, board), (winner, cost, expected));
+
+            let [_, _, FormRealization::Dsop(dsop), FormRealization::Sop(sop)] = built.as_slice()
+            else {
+                panic!("entrants ran out of order: {built:?}");
+            };
+            assert_eq!(sop, &sp.get().form);
+            for cube in dsop.cubes() {
+                assert!(sop.cubes().iter().any(|s| s.contains_cube(cube)), "{cube} in no SOP cube");
+            }
+            for point in spp_boolfn::all_points(f.num_vars()) {
+                let in_dsop = dsop.cubes().iter().any(|c| c.contains_point(&point));
+                assert_eq!(in_dsop, sop.eval(&point), "point {point}");
+            }
+        }
     }
 
     #[test]

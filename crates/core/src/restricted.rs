@@ -63,8 +63,8 @@ pub fn factor_width_at_most(pc: &Pseudocube, max_literals: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minimize::{algorithm2_session, exact_session};
-    use crate::{GenLimits, SppError, SppForm, SppMinResult, SppOptions};
+    use crate::minimize::exact_session;
+    use crate::{GenLimits, Minimizer, SppError, SppForm, SppMinResult, SppOptions};
     use spp_boolfn::BoolFn;
     use spp_gf2::Gf2Vec;
     use spp_obs::RunCtx;
@@ -75,7 +75,7 @@ mod tests {
     }
 
     fn minimize_spp_restricted(f: &BoolFn, width: usize, options: &SppOptions) -> SppMinResult {
-        algorithm2_session(f, Some(width), options, &RunCtx::default(), None).unwrap()
+        Minimizer::new(f).options(options.clone()).run_restricted(width).unwrap()
     }
 
     fn minimize_2spp(f: &BoolFn, options: &SppOptions) -> SppMinResult {
@@ -165,8 +165,7 @@ mod tests {
     #[test]
     fn zero_width_is_an_error() {
         let f = BoolFn::from_indices(2, &[1]);
-        let err = algorithm2_session(&f, Some(0), &SppOptions::default(), &RunCtx::default(), None)
-            .unwrap_err();
+        let err = Minimizer::new(&f).run_restricted(0).unwrap_err();
         assert_eq!(err, SppError::ZeroFactorWidth);
     }
 }

@@ -27,7 +27,7 @@ use spp_sp::SpMinResult;
 
 use crate::generate::{generate_eppp_session, generate_eppp_session_capture};
 use crate::heuristic::{heuristic_from_cover_session, heuristic_session};
-use crate::minimize::{algorithm2_session, cached_eppp, sp_minimum};
+use crate::minimize::{algorithm2_session, cached_eppp, SessionSp};
 use crate::multi::multi_session_cached;
 use crate::{
     EpppSet, GenLimits, MultiSppResult, Pseudocube, SppCache, SppError, SppMinResult,
@@ -265,8 +265,25 @@ impl Minimizer<'_> {
     /// generation + minimum-literal covering).
     #[must_use]
     pub fn run_exact(&self) -> SppMinResult {
-        algorithm2_session(self.f, None, &self.options, &self.ctx, self.cache.as_ref())
+        self.algorithm2(None, &self.session_sp())
             .expect("the unrestricted family has no width to reject")
+    }
+
+    /// [`algorithm2_session`] on this session's function, options, run
+    /// control and cache.
+    fn algorithm2(
+        &self,
+        max_factor_literals: Option<usize>,
+        sp: &SessionSp<'_>,
+    ) -> Result<SppMinResult, SppError> {
+        let cache = self.cache.as_ref();
+        algorithm2_session(self.f, max_factor_literals, &self.options, &self.ctx, cache, sp)
+    }
+
+    /// A fresh session SP minimum for one `run_*` call: computed at most
+    /// once, on first use, under this session's covering limits.
+    pub(crate) fn session_sp(&self) -> SessionSp<'_> {
+        SessionSp::new(self.f, &self.options.cover_limits)
     }
 
     /// Runs the incremental heuristic — the paper's **Algorithm 3**
@@ -309,13 +326,7 @@ impl Minimizer<'_> {
         &self,
         max_factor_literals: usize,
     ) -> Result<SppMinResult, SppError> {
-        let r = algorithm2_session(
-            self.f,
-            Some(max_factor_literals),
-            &self.options,
-            &self.ctx,
-            self.cache.as_ref(),
-        )?;
+        let r = self.algorithm2(Some(max_factor_literals), &self.session_sp())?;
         if let Some(cache) = &self.cache {
             cache.put_warm_form(self.f, Rung::RestrictedExact, r.form.terms(), &self.ctx);
         }
@@ -342,13 +353,16 @@ impl Minimizer<'_> {
     /// [`run_exact`](Self::run_exact) plus ladder events.
     #[must_use]
     pub fn run_governed(&self) -> SppMinResult {
+        self.governed(&self.session_sp())
+    }
+
+    /// [`Minimizer::run_governed`] in a session whose SP minimum is `sp`
+    /// — the race's, when the ladder is its SPP entrant.
+    pub(crate) fn governed(&self, sp: &SessionSp<'_>) -> SppMinResult {
         let rungs = [Rung::Exact, Rung::RestrictedExact, Rung::Heuristic];
-        let (r, _) = self.run_plan(&rungs, Pick::First, |rung| match rung {
-            Rung::Exact => Some(self.run_exact()),
-            Rung::RestrictedExact => {
-                let cache = self.cache.as_ref();
-                algorithm2_session(self.f, Some(2), &self.options, &self.ctx, cache).ok()
-            }
+        let (r, _) = self.run_plan(&rungs, Pick::First, sp, |rung| match rung {
+            Rung::Exact => self.algorithm2(None, sp).ok(),
+            Rung::RestrictedExact => self.algorithm2(Some(2), sp).ok(),
             _ => heuristic_session(self.f, 0, &self.options, &self.ctx).ok(),
         });
         if matches!(r.rung, Rung::RestrictedExact | Rung::Heuristic) {
@@ -364,13 +378,15 @@ impl Minimizer<'_> {
     /// result under its own semantics. An entrant that ends in
     /// [`Outcome::MemoryExceeded`], fails verification or cannot run at
     /// all (`None`) is excluded; `pick` chooses among the rest. When every
-    /// entrant is excluded, the SP minimum answers as the backstop entrant
-    /// [`Lane::SOP`] — never optimal, with the outcome of the run control.
-    /// Returns the answer and one verdict per entrant that ran, in order.
+    /// entrant is excluded, the session's SP minimum `sp` answers as the
+    /// backstop entrant [`Lane::SOP`] — never optimal, with the outcome of
+    /// the run control. Returns the answer and one verdict per entrant
+    /// that ran, in order.
     pub(crate) fn run_plan<L: Lane, A: Attempt>(
         &self,
         entrants: &[L],
         pick: Pick<'_, A>,
+        sp: &SessionSp<'_>,
         mut run: impl FnMut(L) -> Option<A>,
     ) -> (A, Vec<Verdict<L>>) {
         let mut verdicts = Vec::with_capacity(entrants.len() + 1);
@@ -408,7 +424,7 @@ impl Minimizer<'_> {
         self.ctx.governor().reset();
         self.ctx.emit(L::SOP.started());
         let start = Instant::now();
-        let sp = sp_minimum(self.f, &self.options.cover_limits);
+        let sp = sp.get();
         let outcome = self.ctx.stop_reason().unwrap_or_default();
         let a = A::backstop(sp, outcome, start.elapsed(), &self.ctx);
         let cost = match pick {
@@ -489,7 +505,7 @@ pub(crate) trait Attempt: Sized {
     fn realizes(&self, f: &BoolFn) -> bool;
     /// The plan's answer from the SP minimum `sp`, computed in `elapsed`
     /// and ending with `outcome`.
-    fn backstop(sp: SpMinResult, outcome: Outcome, elapsed: Duration, ctx: &RunCtx) -> Self;
+    fn backstop(sp: &SpMinResult, outcome: Outcome, elapsed: Duration, ctx: &RunCtx) -> Self;
 }
 
 impl Attempt for SppMinResult {
@@ -501,7 +517,7 @@ impl Attempt for SppMinResult {
         self.form.check_realizes(f).is_ok()
     }
 
-    fn backstop(sp: SpMinResult, outcome: Outcome, elapsed: Duration, ctx: &RunCtx) -> Self {
+    fn backstop(sp: &SpMinResult, outcome: Outcome, elapsed: Duration, ctx: &RunCtx) -> Self {
         SppMinResult {
             gen_elapsed: elapsed,
             faults: ctx.faults(),

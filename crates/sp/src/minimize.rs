@@ -1,6 +1,6 @@
 //! Minimum-literal SP synthesis.
 
-use spp_boolfn::BoolFn;
+use spp_boolfn::{BoolFn, Cube};
 use spp_cover::{solve_auto, CoverProblem, Limits};
 
 use crate::{prime_implicants, SpForm};
@@ -10,8 +10,9 @@ use crate::{prime_implicants, SpForm};
 pub struct SpMinResult {
     /// The minimized form.
     pub form: SpForm,
-    /// The total number of prime implicants (the paper's `#PI` column).
-    pub num_primes: usize,
+    /// Every prime implicant of the function, sorted — the covering
+    /// step's columns. Their count is the paper's `#PI` column.
+    pub primes: Vec<Cube>,
     /// Whether the covering step proved the literal count minimal.
     pub optimal: bool,
 }
@@ -61,7 +62,7 @@ pub fn minimize_sp(f: &BoolFn, limits: &Limits) -> SpMinResult {
     }
     let solution = solve_auto(&problem, limits);
     let cubes = solution.columns.iter().map(|&c| primes[c]).collect();
-    SpMinResult { form: SpForm::new(f.num_vars(), cubes), num_primes: primes.len(), optimal: solution.optimal }
+    SpMinResult { form: SpForm::new(f.num_vars(), cubes), primes, optimal: solution.optimal }
 }
 
 #[cfg(test)]

@@ -1,17 +1,20 @@
 //! Quine–McCluskey prime-implicant generation.
 
-use std::collections::{HashMap, HashSet};
-
 use spp_boolfn::{BoolFn, Cube};
-use spp_gf2::Gf2Vec;
 
 /// Computes all prime implicants of `f` (implicants may cover don't-care
-/// points, per standard two-level minimization practice).
+/// points, per standard two-level minimization practice), sorted.
 ///
 /// This is the textbook Quine–McCluskey procedure: implicants of degree
 /// `k+1` are produced by merging pairs of degree-`k` implicants that bind
 /// the same variables and differ in exactly one value; implicants never
 /// merged are prime.
+///
+/// Each level is a sorted, deduplicated `Vec<Cube>`. Cubes order by mask
+/// first, so the cubes binding the same variables — the only ones that
+/// can merge — form one run, sorted by value. A cube with value 0 at a
+/// bound bit looks up its partner (value 1 there) by binary search in its
+/// run, so each mergeable pair is found exactly once.
 ///
 /// # Examples
 ///
@@ -26,50 +29,45 @@ use spp_gf2::Gf2Vec;
 /// ```
 #[must_use]
 pub fn prime_implicants(f: &BoolFn) -> Vec<Cube> {
-    let mut current: Vec<Cube> = f
+    let mut level: Vec<Cube> = f
         .on_set()
         .iter()
-        .chain(f.dc_set().iter())
+        .chain(f.dc_set())
         .map(|&p| Cube::from_point(p))
         .collect();
+    level.sort_unstable();
+    level.dedup();
     let mut primes: Vec<Cube> = Vec::new();
+    let mut next: Vec<Cube> = Vec::new();
+    let mut merged: Vec<bool> = Vec::new();
 
-    while !current.is_empty() {
-        let mut merged_flags = vec![false; current.len()];
-        let mut next: HashSet<Cube> = HashSet::new();
-
-        // Bucket by mask: only cubes binding the same variables can merge.
-        let mut by_mask: HashMap<Gf2Vec, Vec<usize>> = HashMap::new();
-        for (i, cube) in current.iter().enumerate() {
-            by_mask.entry(cube.mask()).or_default().push(i);
-        }
-
-        for indices in by_mask.values() {
-            // Value → index lookup lets each cube find its 1-bit-apart
-            // partners directly instead of scanning all pairs.
-            let by_value: HashMap<Gf2Vec, usize> =
-                indices.iter().map(|&i| (current[i].values(), i)).collect();
-            for &i in indices {
-                let cube = current[i];
-                for bit in cube.mask().iter_ones() {
-                    let partner_value = cube.values().with_bit(bit, !cube.values().get(bit));
-                    if let Some(&j) = by_value.get(&partner_value) {
-                        let m = cube.merge(&current[j]).expect("bucketed cubes must merge");
-                        merged_flags[i] = true;
-                        merged_flags[j] = true;
-                        next.insert(m);
+    while !level.is_empty() {
+        merged.clear();
+        merged.resize(level.len(), false);
+        let mut start = 0;
+        while start < level.len() {
+            let mask = level[start].mask();
+            let len = level[start..].partition_point(|c| c.mask() == mask);
+            let group = &level[start..start + len];
+            for (i, cube) in group.iter().enumerate() {
+                let values = cube.values();
+                for bit in mask.iter_ones().filter(|&b| !values.get(b)) {
+                    let partner = Cube::new(mask, values.with_bit(bit, true));
+                    // The partner is larger, so it can only follow `cube`.
+                    if let Ok(j) = group[i + 1..].binary_search(&partner) {
+                        merged[start + i] = true;
+                        merged[start + i + 1 + j] = true;
+                        next.push(Cube::new(mask.with_bit(bit, false), values));
                     }
                 }
             }
+            start += len;
         }
-
-        for (i, cube) in current.iter().enumerate() {
-            if !merged_flags[i] {
-                primes.push(*cube);
-            }
-        }
-        current = next.into_iter().collect();
-        current.sort_unstable();
+        primes.extend(level.iter().zip(&merged).filter(|(_, &m)| !m).map(|(c, _)| *c));
+        next.sort_unstable();
+        next.dedup();
+        std::mem::swap(&mut level, &mut next);
+        next.clear();
     }
 
     primes.sort_unstable();
@@ -80,6 +78,7 @@ pub fn prime_implicants(f: &BoolFn) -> Vec<Cube> {
 mod tests {
     use super::*;
     use spp_boolfn::all_points;
+    use spp_gf2::Gf2Vec;
 
     fn c(s: &str) -> Cube {
         s.parse().unwrap()
@@ -166,5 +165,71 @@ mod tests {
         let primes = prime_implicants(&parity);
         assert_eq!(primes.len(), 8);
         assert!(primes.iter().all(|p| p.degree() == 0));
+    }
+
+    /// The maximal implicants of the point set `care` (bit `p` set when
+    /// point `p` is ON or don't-care) over `n ≤ 7` variables, by brute
+    /// force over all `3^n` cubes: a cube is prime when all its points lie
+    /// in `care` and freeing any one of its bound variables leaves `care`.
+    fn brute_force_primes(n: usize, care: u128) -> Vec<Cube> {
+        let points = 1u64 << n;
+        let implicant = |mask: u64, values: u64| {
+            (0..points).filter(|p| p & mask == values).all(|p| care >> p & 1 == 1)
+        };
+        let mut primes = Vec::new();
+        for mask in 0..points {
+            for values in (0..points).filter(|v| v & !mask == 0) {
+                let prime = implicant(mask, values)
+                    && (0..n)
+                        .filter(|b| mask >> b & 1 == 1)
+                        .all(|b| !implicant(mask & !(1 << b), values & !(1 << b)));
+                if prime {
+                    primes.push(Cube::new(Gf2Vec::from_u64(n, mask), Gf2Vec::from_u64(n, values)));
+                }
+            }
+        }
+        primes.sort_unstable();
+        primes
+    }
+
+    #[test]
+    fn every_4_input_function_matches_the_brute_force_primes() {
+        for tt in 0..=u16::MAX {
+            let f = BoolFn::from_truth_fn(4, |x| tt >> x & 1 == 1);
+            assert_eq!(prime_implicants(&f), brute_force_primes(4, u128::from(tt)), "tt={tt:#06x}");
+        }
+    }
+
+    #[test]
+    fn seeded_functions_with_dont_cares_match_the_brute_force_primes() {
+        // SplitMix64, so the drawn functions are the same on every host.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for (n, count) in [(5, 300), (6, 120), (7, 40)] {
+            for i in 0..count {
+                // ON density 1/8 .. 7/8 and DC density 0 .. 2/8 in eighths.
+                let (on_eighths, dc_eighths) = (1 + i % 7, i % 3);
+                let (mut on, mut dc, mut care) = (Vec::new(), Vec::new(), 0u128);
+                for p in 0..1u64 << n {
+                    let r = next() % 8;
+                    if r < on_eighths {
+                        on.push(Gf2Vec::from_u64(n, p));
+                    } else if r < on_eighths + dc_eighths {
+                        dc.push(Gf2Vec::from_u64(n, p));
+                    } else {
+                        continue;
+                    }
+                    care |= 1 << p;
+                }
+                let f = BoolFn::with_dont_cares(n, on, dc);
+                assert_eq!(prime_implicants(&f), brute_force_primes(n, care), "n={n}, draw {i}");
+            }
+        }
     }
 }

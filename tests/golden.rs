@@ -28,7 +28,7 @@ fn adr4_sp_matches_paper_exactly() {
         let f = c.output_on_support(j);
         let r = minimize_sp(&f, &Limits::default());
         assert!(r.optimal, "output {j} must solve exactly");
-        num_primes += r.num_primes;
+        num_primes += r.primes.len();
         literals += r.literal_count();
         products += r.form.num_products();
     }
@@ -55,7 +55,7 @@ fn adr4_spp_matches_paper_exactly() {
 fn life_sp_matches_paper_exactly() {
     let f = registry::circuit("life").unwrap().output_on_support(0);
     let r = minimize_sp(&f, &Limits::default());
-    assert_eq!(r.num_primes, 224, "paper: #PI = 224");
+    assert_eq!(r.primes.len(), 224, "paper: #PI = 224");
     assert_eq!(r.literal_count(), 672, "paper: #L = 672");
     assert_eq!(r.form.num_products(), 84, "paper: #P = 84");
 }
@@ -73,7 +73,7 @@ fn root_sp_matches_paper_exactly() {
             continue;
         }
         let r = minimize_sp(&f, &Limits::default());
-        num_primes += r.num_primes;
+        num_primes += r.primes.len();
         literals += r.literal_count();
         products += r.form.num_products();
     }
