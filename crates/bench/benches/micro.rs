@@ -4,7 +4,7 @@
 //! random instance and maj5 output 0's exact matrix), and the generation
 //! paths (cold level sweep, Algorithm 2 and the quadratic baseline; the
 //! closed pair loop on 7-input
-//! parity, delta splice).
+//! parity, delta splice) and a warm EPPP cache hit.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use spp_core::{Cex, PartitionTrie, Pseudocube};
@@ -222,6 +222,14 @@ fn bench_generation(c: &mut Criterion) {
             let _ = Minimizer::new(&f).cache(cache.clone()).generate();
             black_box(Minimizer::new(&edited).cache(cache).generate())
         })
+    });
+    // A warm EPPP hit, one worker: mlp4's output 5 has 4,604 pseudocubes,
+    // each copied out of the cache with its basis inline.
+    let mlp4_5 = spp_benchgen::registry::circuit("mlp4").expect("registry").output_on_support(5);
+    let cache = SppCache::in_memory(64 * 1024 * 1024);
+    let _ = Minimizer::new(&mlp4_5).threads(1).cache(cache.clone()).generate();
+    c.bench_function("cache/warm_eppp/mlp4_5", |b| {
+        b.iter(|| black_box(Minimizer::new(&mlp4_5).threads(1).cache(cache.clone()).generate()))
     });
 }
 

@@ -944,6 +944,31 @@ mod tests {
     }
 
     #[test]
+    fn spilled_pseudocubes_keep_their_bytes() {
+        // Degrees past a basis's inline rows: the rows `e_i + e_{n-1}` are
+        // already in reduced echelon form, so the bytes are known up front.
+        for (n, degree) in [(24usize, 8usize), (24, 9), (24, 20), (128, 20)] {
+            let rows: Vec<Gf2Vec> =
+                (0..degree).map(|i| Gf2Vec::from_index_bits(n, &[i, n - 1])).collect();
+            let rep = Gf2Vec::from_index_bits(n, &[degree, n - 2]);
+            let pc = Pseudocube::from_parts(rep, EchelonBasis::from_span(n, &rows));
+            assert_eq!((pc.degree(), pc.rep()), (degree, rep));
+            let mut expected = Vec::new();
+            put_u16(&mut expected, degree as u16);
+            put_point(&mut expected, &rep);
+            rows.iter().for_each(|row| put_point(&mut expected, row));
+            let mut bytes = Vec::new();
+            put_pseudocube(&mut bytes, &pc);
+            assert_eq!(bytes, expected, "n = {n}, degree {degree}");
+            let back = read_pseudocube(&mut Reader::new(&bytes), n).expect("decodes");
+            assert_eq!(back, pc, "n = {n}, degree {degree}");
+            let mut again = Vec::new();
+            put_pseudocube(&mut again, &back);
+            assert_eq!(again, bytes, "n = {n}, degree {degree}");
+        }
+    }
+
+    #[test]
     fn level_snapshots_keep_the_term_layout_and_round_trip() {
         // A cold capture: every level grouped, as the generator swept it.
         let f = BoolFn::from_truth_fn(6, |x| x % 3 != 0 || x == 9);

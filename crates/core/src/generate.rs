@@ -57,10 +57,12 @@
 //!   order is the order of its first member.
 //!
 //! So each canonical pair records a plain [`UnionKey`] `(W's first member,
-//! d, rep)`, with no allocation; the merge sorts each group's keys on
-//! their own (they arrive in group order, see below) and builds each new
-//! structure once, from `W`'s rows plus `d`; and the buckets become the
-//! next sweep's runs as they are, with no re-sort or trie walk. On an
+//! d, rep)`, with no allocation; the merge radix-sorts each group's keys
+//! on their own (they arrive in group order, see below), on the bits of
+//! `(d, rep)` in which they differ, and builds each new structure once,
+//! from `W`'s rows plus `d`, in place (a basis of up to 8 rows keeps them
+//! inline, so no structure allocates); and the buckets become the next
+//! sweep's runs as they are, with no re-sort or trie walk. On an
 //! open level one union can arise in two groups (`W₁ + d₁ = W₂ + d₂`), so
 //! [`Distinct`] builds each bucket's structure once and keeps each
 //! `(structure, rep)` once: the union itself, never its key, decides what
@@ -102,8 +104,9 @@
 //! partition. The merge concatenates a closed level's keys unit by unit,
 //! in planned `(run, lo)` order, whichever worker swept each unit, so each
 //! group's keys arrive together and the groups in run order; it then
-//! sorts each group's keys on their own into canonical order (an open
-//! level's workers' distinct unions are pooled and sorted instead). That
+//! radix-sorts each group's keys on their own into canonical order (an
+//! open level's workers' distinct unions are pooled and sorted instead).
+//! That
 //! makes a **non-truncated** run bit-identical at any thread count;
 //! comparison counts are derived from run sizes up front and are likewise
 //! identical.
@@ -142,8 +145,17 @@ pub(crate) fn approx_pseudocube_bytes(pc: &Pseudocube) -> u64 {
 /// [`approx_pseudocube_bytes`] of any pseudocube of degree `m`: the
 /// estimate depends on the degree alone, so a union is charged it without
 /// being materialized.
+///
+/// It is an accounting estimate, kept at the layout a pseudocube had
+/// before its basis held its rows inline: a rep, the basis's two heap
+/// vectors, its digest and its ambient dimension padded to a word, plus
+/// one heap row and pivot per degree — 88 + 26·m bytes on x86-64. So the
+/// governor's budgets and the cache's weights do not move with
+/// `size_of::<Pseudocube>()`.
 pub(crate) fn approx_pseudocube_bytes_at(m: usize) -> u64 {
-    (std::mem::size_of::<Pseudocube>() + m * (std::mem::size_of::<Gf2Vec>() + 2)) as u64
+    use std::mem::size_of;
+    let fixed = size_of::<Gf2Vec>() + 2 * size_of::<Vec<Gf2Vec>>() + 2 * size_of::<u64>();
+    (fixed + m * (size_of::<Gf2Vec>() + size_of::<u16>())) as u64
 }
 
 /// Per-degree statistics of a generation run.
@@ -599,7 +611,7 @@ impl UnionScratch {
     /// constructors (one basis-digest recompute, no re-reduction); `lit`
     /// must already hold the union's literal count.
     fn materialize(&self, dirs: &EchelonBasis) -> Pseudocube {
-        let dirs = union_structure(dirs, self.d, self.p);
+        let dirs = union_structure(dirs, self.d);
         let pc = Pseudocube::from_canonical_parts(self.rep, dirs);
         debug_assert_eq!(pc.literal_count(), self.lit, "on-the-fly literal count agrees");
         pc
@@ -607,40 +619,13 @@ impl UnionScratch {
 }
 
 /// The structure of the union of two members of structure `dirs` whose
-/// reps differ by `d`, lowest set bit `p` (module docs).
-fn union_structure(dirs: &EchelonBasis, d: Gf2Vec, p: usize) -> EchelonBasis {
-    let mut rows = Vec::with_capacity(dirs.dim() + 1);
-    union_rows(dirs, d, p, &mut rows);
-    reduced(rows)
-}
-
-/// The reduced-echelon rows of [`union_structure`], into `rows`: `dirs`'s
-/// rows with `d` XORed into those that have bit `p` set, plus `d` at its
-/// sorted pivot position. At a canonical split that is `dirs`'s rows plus
-/// `d`.
-fn union_rows(dirs: &EchelonBasis, d: Gf2Vec, p: usize, rows: &mut Vec<Gf2Vec>) {
-    rows.clear();
-    let mut inserted = false;
-    for (w, &q) in dirs.rows().iter().zip(dirs.pivots()) {
-        if !inserted && p < q as usize {
-            rows.push(d);
-            inserted = true;
-        }
-        // Clear the new pivot column in the existing rows. `d` is zero at
-        // every old pivot (both reps are), so the old pivot columns stay
-        // intact.
-        rows.push(if w.get(p) { *w ^ d } else { *w });
-    }
-    if !inserted {
-        rows.push(d);
-    }
-}
-
-/// The basis with these reduced-echelon rows (nonempty), whose pivots are
-/// their lowest set bits.
-fn reduced(rows: Vec<Gf2Vec>) -> EchelonBasis {
-    let pivots = rows.iter().map(|w| w.lowest_set_bit().expect("a basis row") as u16).collect();
-    EchelonBasis::from_reduced_rows(rows[0].len(), rows, pivots)
+/// reps differ by `d` (module docs): `dirs`'s rows with `d` XORed into
+/// those that have `d`'s lowest bit set, plus `d` at its sorted pivot
+/// position. At a canonical split that is `dirs`'s rows plus `d`. Both
+/// reps are zero at every pivot, so `d` is already reduced: the basis is
+/// built in place, and inline up to its capacity, with no allocation.
+fn union_structure(dirs: &EchelonBasis, d: Gf2Vec) -> EchelonBasis {
+    dirs.extended(d).expect("a union's new row is independent of its halves' structure")
 }
 
 /// One run of a [`Level`]: the members `lo..hi`, which share the
@@ -660,6 +645,12 @@ impl Run {
     /// The run's member indices.
     pub(crate) fn members(&self) -> std::ops::Range<usize> {
         self.lo as usize..self.hi as usize
+    }
+
+    /// Moves the run up by `by` members.
+    fn shift(&mut self, by: u32) {
+        self.lo += by;
+        self.hi += by;
     }
 }
 
@@ -744,10 +735,10 @@ impl Level {
     /// The unions a closed sweep of `swept` recorded as `keys` (module
     /// docs). The keys arrive in group order: each group's keys are
     /// contiguous, and the groups come in `swept`'s run order. Each group's
-    /// keys are sorted on their own, which puts the whole in canonical
-    /// `(group, d, rep)` order; each `(group, d)` bucket is then one run,
-    /// whose structure is the group's structure extended by `d`, and the
-    /// runs are the next level as it is.
+    /// keys are radix-sorted on their own (see [`sort_group`]), which puts
+    /// the whole in canonical `(group, d, rep)` order; each `(group, d)`
+    /// bucket is then one run, whose structure is the group's structure
+    /// extended by `d`, and the runs are the next level as it is.
     ///
     /// # Panics
     ///
@@ -757,25 +748,32 @@ impl Level {
         // this level inserts in place (see the `delta` module).
         let mut next =
             Level { reps: Vec::with_capacity(keys.len() + keys.len() / 8), runs: Vec::new() };
+        let mut spare = Vec::new();
         let mut rest = keys.as_mut_slice();
-        for run in &swept.runs {
-            let len = rest.iter().take_while(|key| key.group() == run.lo).count();
+        // Only the runs that hold keys are visited: a delta splice's keys
+        // come from the few runs that gained a member.
+        let mut r = 0;
+        while let Some(first) = rest.first() {
+            let lo = first.group();
+            r = lower_bound_from(&swept.runs, r, |run| run.lo < lo);
+            let run = swept.runs.get(r).filter(|run| run.lo == lo);
+            let run = run.expect("union keys arrive in group order");
+            let len = rest.iter().take_while(|key| key.group() == lo).count();
             let (group, tail) = std::mem::take(&mut rest).split_at_mut(len);
             rest = tail;
-            group.sort_unstable();
+            sort_group(group, &mut spare);
             let mut d = None;
             for key in &*group {
                 if d != Some(key.d()) {
                     d = Some(key.d());
                     let lo = next.reps.len() as u32;
-                    let (d, p) = key.row(run.dirs.ambient_dim());
-                    next.runs.push(Run { lo, hi: lo, dirs: union_structure(&run.dirs, d, p) });
+                    let d = key.row(run.dirs.ambient_dim());
+                    next.runs.push(Run { lo, hi: lo, dirs: union_structure(&run.dirs, d) });
                 }
                 next.reps.push(swept.reps[key.rep()]);
                 next.runs.last_mut().expect("a run was opened").hi += 1;
             }
         }
-        assert!(rest.is_empty(), "union keys arrive in group order");
         next
     }
 
@@ -818,115 +816,131 @@ impl Level {
     /// into it in place, carrying `flags` in step (new members start
     /// unflagged), and returns the sorted positions the new members landed
     /// at. Each new run finds its place among this level's runs by
-    /// galloping search over structures. The buffers then grow once (in
-    /// place, given the headroom [`Level::from_keys`] leaves) and fill from
-    /// the back: the runs between two places move up as one block, and a
-    /// run whose structure both sides hold merges its reps.
+    /// galloping search over structures. The member buffers then grow once
+    /// (in place, given the headroom [`Level::from_keys`] leaves) and fill
+    /// from the back: the members between two places move up as one block,
+    /// and a run whose structure both sides hold merges its reps. The runs
+    /// are then updated front to back.
     pub(crate) fn merge(&mut self, flags: &mut Vec<bool>, new: Level) -> Vec<usize> {
         if new.is_empty() {
             return Vec::new();
         }
         // `new` is sorted, so the places are non-decreasing and galloping
         // from the previous one touches mostly-warm memory.
-        let old_runs = self.runs.len();
+        let Level { reps, runs } = self;
+        let (old_runs, old_len) = (runs.len(), reps.len());
         let mut cuts: Vec<(usize, bool)> = Vec::with_capacity(new.runs.len());
         let mut lo = 0usize;
         for run in &new.runs {
-            lo = lower_bound_from(&self.runs, lo, &run.dirs);
-            cuts.push((lo, lo < old_runs && self.runs[lo].dirs == run.dirs));
+            lo = lower_bound_from(runs, lo, |old| old.dirs < run.dirs);
+            cuts.push((lo, lo < old_runs && runs[lo].dirs == run.dirs));
         }
-        let joins = cuts.iter().filter(|&&(_, joined)| joined).count();
         let Level { reps: new_reps, runs: new_runs } = new;
-        let total = self.len() + new_reps.len();
-        self.reps.resize(total, Gf2Vec::zeros(new_reps[0].len()));
+        let total = old_len + new_reps.len();
+        reps.resize(total, Gf2Vec::zeros(new_reps[0].len()));
         flags.resize(total, false);
-        self.runs.resize_with(old_runs + new_runs.len() - joins, || Run {
-            lo: 0,
-            hi: 0,
-            dirs: EchelonBasis::new(0),
-        });
         let mut new_pos = vec![0usize; new_reps.len()];
         // Backwards: `before` new members precede the run being placed,
-        // `k` old runs are still unmoved, and `slot` is the next run slot
-        // to fill from the back (the slots from `k` up to `slot` hold
-        // placeholders).
+        // and the old runs from `k` on have moved. A member lands at its
+        // old position plus the new members placed before it.
         let mut before = new_reps.len();
         let mut k = old_runs;
-        let mut slot = self.runs.len();
-        for (run, (cut, joined)) in new_runs.into_iter().zip(cuts).rev() {
+        for (run, &(cut, joined)) in new_runs.iter().zip(&cuts).rev() {
             // The old runs after this new run's place move up by `before`
             // members, as one block.
             let stop = cut + usize::from(joined);
             if k > stop {
-                let (lo, hi) = (self.runs[stop].lo as usize, self.runs[k - 1].hi as usize);
-                self.reps.copy_within(lo..hi, lo + before);
+                let (lo, hi) = (runs[stop].lo as usize, runs[k - 1].hi as usize);
+                reps.copy_within(lo..hi, lo + before);
                 flags.copy_within(lo..hi, lo + before);
-                while k > stop {
-                    k -= 1;
-                    slot -= 1;
-                    let moved = &mut self.runs[k];
-                    moved.lo += before as u32;
-                    moved.hi += before as u32;
-                    self.runs.swap(k, slot);
-                }
+                k = stop;
             }
             let fresh = &new_reps[run.members()];
             before -= fresh.len();
-            slot -= 1;
             if joined {
                 // Merge from the back: the larger of the two tails goes
                 // last.
                 k -= 1;
-                let (lo, hi) = (self.runs[k].lo as usize, self.runs[k].hi as usize);
+                let (lo, hi) = (runs[k].lo as usize, runs[k].hi as usize);
                 let (mut i, mut f, mut out) = (hi, fresh.len(), hi + before + fresh.len());
                 while f > 0 {
                     out -= 1;
-                    if i > lo && self.reps[i - 1] > fresh[f - 1] {
+                    if i > lo && reps[i - 1] > fresh[f - 1] {
                         i -= 1;
-                        self.reps[out] = self.reps[i];
+                        reps[out] = reps[i];
                         flags[out] = flags[i];
                     } else {
                         f -= 1;
-                        self.reps[out] = fresh[f];
+                        reps[out] = fresh[f];
                         flags[out] = false;
                         new_pos[before + f] = out;
                     }
                 }
-                self.reps.copy_within(lo..i, lo + before);
+                reps.copy_within(lo..i, lo + before);
                 flags.copy_within(lo..i, lo + before);
-                let joined_run = &mut self.runs[k];
-                joined_run.lo += before as u32;
-                joined_run.hi += (before + fresh.len()) as u32;
-                self.runs.swap(k, slot);
             } else {
-                // A new structure: its reps go right below the moved tail.
-                let hi = self.runs.get(slot + 1).map_or(total, |next| next.lo as usize);
-                let lo = hi - fresh.len();
-                self.reps[lo..hi].copy_from_slice(fresh);
+                // A new structure: its reps go right below the old run it
+                // precedes (or at the end).
+                let lo = runs.get(cut).map_or(old_len, |next| next.lo as usize) + before;
+                let hi = lo + fresh.len();
+                reps[lo..hi].copy_from_slice(fresh);
                 flags[lo..hi].fill(false);
                 for (t, pos) in (lo..hi).enumerate() {
                     new_pos[before + t] = pos;
                 }
-                self.runs[slot] = Run { lo: lo as u32, hi: hi as u32, dirs: run.dirs };
             }
         }
-        debug_assert_eq!((before, slot), (0, k), "every new member and run placed");
+        debug_assert_eq!(before, 0, "every new member placed");
+        // Forwards: each old run moves up by the new members placed before
+        // it, and a joined run also grows by its own. Only new structures
+        // need room among the runs; for them the runs are rebuilt, each
+        // moved once.
+        let mut shift = 0u32;
+        let mut at = 0usize;
+        for (run, &(cut, joined)) in new_runs.iter().zip(&cuts) {
+            runs[at..cut].iter_mut().for_each(|old| old.shift(shift));
+            at = cut;
+            if joined {
+                runs[cut].shift(shift);
+                runs[cut].hi += run.len() as u32;
+                at += 1;
+            }
+            shift += run.len() as u32;
+        }
+        runs[at..].iter_mut().for_each(|old| old.shift(shift));
+        let joins = cuts.iter().filter(|&&(_, joined)| joined).count();
+        if joins < new_runs.len() {
+            let mut merged = Vec::with_capacity(old_runs + new_runs.len() - joins);
+            let mut old = std::mem::take(runs).into_iter();
+            let mut taken = 0usize;
+            for (run, (cut, joined)) in new_runs.into_iter().zip(cuts) {
+                if !joined {
+                    merged.extend(old.by_ref().take(cut - taken));
+                    taken = cut;
+                    let lo = merged.last().map_or(0, |prev: &Run| prev.hi);
+                    merged.push(Run { lo, hi: lo + run.len() as u32, dirs: run.dirs });
+                }
+            }
+            merged.extend(old);
+            *runs = merged;
+        }
+        debug_assert_eq!(runs.last().map(|run| run.hi as usize), Some(total), "runs cover all");
         new_pos
     }
 }
 
-/// First index at or after `lo` whose run's structure is not less than
-/// `dirs`, by exponential (galloping) search: doubling steps find a window
-/// holding the boundary, a binary search inside the window pins it down.
-/// Callers guarantee every run before `lo` is less than `dirs`.
-fn lower_bound_from(runs: &[Run], mut lo: usize, dirs: &EchelonBasis) -> usize {
+/// First index at or after `lo` whose run is not `before` the target, by
+/// exponential (galloping) search: doubling steps find a window holding
+/// the boundary, a binary search inside the window pins it down. Callers
+/// guarantee that `before` holds on a prefix of `runs` reaching `lo`.
+fn lower_bound_from(runs: &[Run], mut lo: usize, before: impl Fn(&Run) -> bool) -> usize {
     let mut step = 1usize;
-    while lo + step <= runs.len() && runs[lo + step - 1].dirs < *dirs {
+    while lo + step <= runs.len() && before(&runs[lo + step - 1]) {
         lo += step;
         step <<= 1;
     }
     let hi = (lo + step - 1).min(runs.len());
-    lo + runs[lo..hi].partition_point(|run| run.dirs < *dirs)
+    lo + runs[lo..hi].partition_point(before)
 }
 
 /// What a sweep records for a pair's union (module docs), packed into
@@ -974,39 +988,124 @@ impl UnionKey {
         [self.0[0], self.0[1], self.0[2] >> 32]
     }
 
-    /// The union's new row `d`, of length `n`, and its lowest set bit.
-    fn row(self, n: usize) -> (Gf2Vec, usize) {
-        let d = from_rank(n, self.d());
-        (d, d.lowest_set_bit().expect("a union's new row is nonzero"))
+    /// The union's new row `d`, of length `n`.
+    fn row(self, n: usize) -> Gf2Vec {
+        from_rank(n, self.d())
     }
 
-    /// The union's split in `swept`: its group's structure, `d` and `d`'s
-    /// lowest set bit (see [`union_structure`]).
-    fn split(self, swept: &Level) -> (&EchelonBasis, Gf2Vec, usize) {
+    /// The union's split in `swept`: its group's structure and `d` (see
+    /// [`union_structure`]).
+    fn split(self, swept: &Level) -> (&EchelonBasis, Gf2Vec) {
         // The runs are in first-member order.
         let lo = self.group();
         let run = &swept.runs[swept.runs.partition_point(|r| r.lo < lo)];
         debug_assert_eq!(run.lo, lo);
-        let (d, p) = self.row(run.dirs.ambient_dim());
-        (&run.dirs, d, p)
+        (&run.dirs, self.row(run.dirs.ambient_dim()))
+    }
+
+    /// The `width` bits of the key, read as one 192-bit integer (its first
+    /// word most significant), from bit `at` up.
+    #[inline]
+    fn bits(self, at: u32, width: u32) -> usize {
+        let (word, shift) = (2 - (at / 64) as usize, at % 64);
+        let mut bits = self.0[word] >> shift;
+        if shift + width > 64 {
+            bits |= self.0[word - 1] << (64 - shift);
+        }
+        (bits & ((1 << width) - 1)) as usize
+    }
+
+    /// The lowest set bit of the key, read as in [`UnionKey::bits`], at
+    /// or above bit `at`.
+    fn lowest_bit_from(self, at: u32) -> Option<u32> {
+        if at >= 192 {
+            return None;
+        }
+        let mut w = at / 64;
+        let mut word = self.0[2 - w as usize] & (u64::MAX << (at % 64));
+        while word == 0 {
+            w += 1;
+            if w == 3 {
+                return None;
+            }
+            word = self.0[2 - w as usize];
+        }
+        Some(w * 64 + word.trailing_zeros())
+    }
+}
+
+/// Radix digits are at most this many bits wide.
+const DIGIT_BITS: u32 = 8;
+
+/// Sorts one group's keys into `(d, rep)` order, by a stable
+/// least-significant-digit counting sort over the bits in which the keys
+/// differ, with `spare` as the other buffer of each pass. The group is
+/// common to all of them, so the bits that vary are those of `d`'s top
+/// `n` rank bits and of `rep`, and a pass covers up to [`DIGIT_BITS`] of
+/// them; bits every key shares cost nothing. Every key width, multi-word
+/// `d` included, takes this one path.
+///
+/// Sorting on `d` alone would not do: a delta splice records a group's
+/// keys by new member, so keys with one `d` can arrive out of `rep` order.
+fn sort_group(keys: &mut [UnionKey], spare: &mut Vec<UnionKey>) {
+    let Some(first) = keys.first().copied() else {
+        return;
+    };
+    let mut varying = [0u64; 3];
+    for key in &keys[1..] {
+        for (v, (a, b)) in varying.iter_mut().zip(key.0.iter().zip(first.0)) {
+            *v |= a ^ b;
+        }
+    }
+    let varying = UnionKey(varying);
+    if spare.len() < keys.len() {
+        spare.resize(keys.len(), UnionKey([0; 3]));
+    }
+    let spare = &mut spare[..keys.len()];
+    let (mut at, mut in_spare) = (0u32, false);
+    let mut counts = [0u32; 1 << DIGIT_BITS];
+    // Each digit starts at the lowest varying bit not yet sorted on and
+    // ends at the highest varying bit within reach.
+    while let Some(lo) = varying.lowest_bit_from(at) {
+        let reach = varying.bits(lo, DIGIT_BITS.min(192 - lo)) as u64;
+        let width = 64 - reach.leading_zeros();
+        let (src, dst): (&[UnionKey], &mut [UnionKey]) =
+            if in_spare { (spare, keys) } else { (keys, spare) };
+        let counts = &mut counts[..1 << width];
+        counts.fill(0);
+        for key in src {
+            counts[key.bits(lo, width)] += 1;
+        }
+        let mut start = 0u32;
+        for count in counts.iter_mut() {
+            (*count, start) = (start, start + *count);
+        }
+        for &key in src {
+            let slot = &mut counts[key.bits(lo, width)];
+            dst[*slot as usize] = key;
+            *slot += 1;
+        }
+        in_spare = !in_spare;
+        at = lo + width;
+    }
+    if in_spare {
+        keys.copy_from_slice(spare);
     }
 }
 
 /// An open sweep's distinct unions (module docs), gathered from the keys
 /// it records. One union can be named in two groups (`W₁ + d₁ = W₂ +
 /// d₂`), so the union itself, never its key, decides what is a duplicate:
-/// each `(group, d)` bucket's structure rows are computed once and
-/// interned, and each `(structure, rep)` is kept once.
+/// each `(group, d)` bucket's structure is computed once and interned,
+/// and each `(structure, rep)` is kept once.
 #[derive(Default)]
 struct Distinct {
-    /// Each structure met, as its reduced-echelon rows, and its id.
-    ids: WordMap<Vec<Gf2Vec>, u32>,
+    /// Each structure met, and its id.
+    ids: WordMap<EchelonBasis, u32>,
     /// Each `(group, d)` bucket's structure id.
     buckets: WordMap<[u64; 3], u32>,
     /// The unions, as `(structure id, rep)`.
     unions: WordSet<(u32, Gf2Vec)>,
-    /// Scratch for a bucket's structure rows.
-    rows: Vec<Gf2Vec>,
 }
 
 impl Distinct {
@@ -1016,21 +1115,14 @@ impl Distinct {
 
     /// Adds the unions a sweep of `swept` recorded as `keys`.
     fn add(&mut self, swept: &Level, keys: &[UnionKey]) {
-        let Distinct { ids, buckets, unions, rows } = self;
+        let Distinct { ids, buckets, unions } = self;
         for key in keys {
             let id = match buckets.get(&key.bucket()) {
                 Some(&id) => id,
                 None => {
-                    let (dirs, d, p) = key.split(swept);
-                    union_rows(dirs, d, p, rows);
-                    let id = match ids.get(rows.as_slice()) {
-                        Some(&id) => id,
-                        None => {
-                            let id = ids.len() as u32;
-                            ids.insert(rows.clone(), id);
-                            id
-                        }
-                    };
+                    let (dirs, d) = key.split(swept);
+                    let next = ids.len() as u32;
+                    let id = *ids.entry(union_structure(dirs, d)).or_insert(next);
                     buckets.insert(key.bucket(), id);
                     id
                 }
@@ -1046,9 +1138,9 @@ impl Distinct {
             return;
         }
         let mut id_of = vec![0u32; other.ids.len()];
-        for (rows, id) in other.ids {
+        for (dirs, id) in other.ids {
             let next = self.ids.len() as u32;
-            id_of[id as usize] = *self.ids.entry(rows).or_insert(next);
+            id_of[id as usize] = *self.ids.entry(dirs).or_insert(next);
         }
         self.unions.extend(other.unions.into_iter().map(|(id, rep)| (id_of[id as usize], rep)));
     }
@@ -1057,7 +1149,7 @@ impl Distinct {
     /// decide it within a level), then by rep. Every structure holds a
     /// union, so each becomes one run.
     fn into_level(self) -> Level {
-        let mut dirs: Vec<(Vec<Gf2Vec>, u32)> = self.ids.into_iter().collect();
+        let mut dirs: Vec<(EchelonBasis, u32)> = self.ids.into_iter().collect();
         dirs.sort_unstable();
         let mut rank = vec![0u32; dirs.len()];
         for (r, &(_, id)) in dirs.iter().enumerate() {
@@ -1067,7 +1159,7 @@ impl Distinct {
             self.unions.into_iter().map(|(id, rep)| (rank[id as usize], rep)).collect();
         unions.sort_unstable();
         let mut next = Level { reps: Vec::with_capacity(unions.len()), runs: Vec::new() };
-        let mut dirs = dirs.into_iter().map(|(rows, _)| reduced(rows));
+        let mut dirs = dirs.into_iter().map(|(dirs, _)| dirs);
         for (r, rep) in unions {
             if next.runs.len() as u32 == r {
                 let lo = next.reps.len() as u32;
@@ -1172,7 +1264,7 @@ impl<'a> Group<'a> {
 
     /// The literal count of the union of two members whose reps differ by
     /// `d`, lowest set bit `p`. Its rows are the group's, with `d` XORed
-    /// into those that have bit `p` set, plus `d` (see [`union_rows`]), so
+    /// into those that have bit `p` set, plus `d` (see [`union_structure`]), so
     /// the count is the group's, plus `d`'s popcount, one more row and one
     /// fewer variable, and the popcount change of each row with bit `p`
     /// set. A canonical split has no such row.
@@ -1395,8 +1487,8 @@ pub(crate) struct SweepOutcome {
 /// the heuristic's open levels record one at every pair, fold the keys
 /// into each worker's distinct unions, and charge those at the merge. A
 /// closed level's merge concatenates the workers' keys unit by unit, in
-/// planned `(run, lo)` order, so [`Level::from_keys`] sorts each group's
-/// keys on their own. The level's runs are its structure groups, swept in
+/// planned `(run, lo)` order, so [`Level::from_keys`] radix-sorts each
+/// group's keys on their own. The level's runs are its structure groups, swept in
 /// the one unit-planned sweep of the module docs at any thread count; with
 /// `quadratic` set, the \[5\] baseline instead scans all member pairs
 /// itself and sends each unifiable one through the same per-pair step.
@@ -2136,6 +2228,99 @@ mod tests {
             }
             assert!(split_runs > 0, "n = {}: some run is split over workers", f.num_vars());
         }
+    }
+
+    /// `dim`-dimensional affine subspace of `{0,1}^n` plus `extra` more
+    /// points, drawn from `seed`: its degree-0 group is large, and so are
+    /// the degree-1 groups of the subspace's directions.
+    fn affine_points(n: usize, dim: usize, extra: usize, seed: u64) -> BoolFn {
+        let mut x = seed;
+        let mut next = || {
+            let mut word = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let (lo, hi) = (word(), word());
+            let mut v = Gf2Vec::zeros(n);
+            (0..n).filter(|&i| [lo, hi][i / 64] >> (i % 64) & 1 == 1).for_each(|i| v.set(i, true));
+            v
+        };
+        let base = next();
+        let dirs: Vec<Gf2Vec> = (0..dim).map(|_| next()).collect();
+        let mut points: Vec<Gf2Vec> = (0..1usize << dim)
+            .map(|k| (0..dim).filter(|b| k >> b & 1 == 1).fold(base, |p, b| p ^ dirs[b]))
+            .collect();
+        points.extend((0..extra).map(|_| next()));
+        points.sort_unstable();
+        points.dedup();
+        BoolFn::from_minterms(n, points)
+    }
+
+    #[test]
+    fn group_radix_sorts_agree_with_a_comparison_sort() {
+        // Groups of hundreds or thousands of keys, past any small-group cutoff, at
+        // one-word `d` with n ≤ 8 and 33 ≤ n ≤ 64, and at two-word `d`
+        // with n > 64. Each group's keys are shuffled before the merge.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for f in [
+            BoolFn::from_truth_fn(7, |x| x % 3 != 0),
+            affine_points(40, 6, 12, 0x9e37_79b9_7f4a_7c15),
+            affine_points(100, 6, 12, 0x5851_f42d_4c95_7f2d),
+        ] {
+            let points: Vec<Gf2Vec> = f.on_set().iter().chain(f.dc_set()).copied().collect();
+            let mut level = Level::points(f.num_vars(), points);
+            for _ in 0..2 {
+                let what = format!("n = {}, degree {}", f.num_vars(), level.degree());
+                let flat: Vec<Pseudocube> = level.pseudocubes().collect();
+                // Every canonical key by brute force, in group order, and
+                // every union materialized from its two halves.
+                let (mut keys, mut unions, mut largest) = (Vec::new(), Vec::new(), 0);
+                for (r, run) in level.runs.iter().enumerate() {
+                    let g = Group::of(&level, r);
+                    let start = keys.len();
+                    for i in run.members() {
+                        for j in i + 1..run.hi as usize {
+                            let mut u = UnionScratch::default();
+                            u.split(level.reps[i], level.reps[j]);
+                            if g.is_canonical(u.p) {
+                                keys.push(UnionKey::new(g.lo, u.d, i as u32));
+                                unions.push(flat[i].union(&flat[j]).expect("same structure"));
+                            }
+                        }
+                    }
+                    let group = &mut keys[start..];
+                    largest = largest.max(group.len());
+                    for k in (1..group.len()).rev() {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        group.swap(k, (x % (k as u64 + 1)) as usize);
+                    }
+                    let mut sorted = group.to_vec();
+                    sorted.sort_unstable();
+                    let mut radix = group.to_vec();
+                    sort_group(&mut radix, &mut Vec::new());
+                    assert!(radix == sorted, "{what}, group {r}");
+                }
+                assert!(largest >= 200, "{what}: largest group {largest}");
+                unions.sort_unstable();
+                let next = Level::from_keys(&level, keys);
+                assert_eq!(next.pseudocubes().collect::<Vec<_>>(), unions, "{what}");
+                assert_eq!(next, Level::group(&unions), "{what}");
+                level = next;
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn pseudocube_charges_keep_the_heap_row_layout() {
+        // The charges a pseudocube of degree m had when its basis kept its
+        // rows and pivots in two heap vectors: 88 + 26·m bytes.
+        let charges: Vec<u64> = (0..=8).map(approx_pseudocube_bytes_at).collect();
+        assert_eq!(charges, [88, 114, 140, 166, 192, 218, 244, 270, 296]);
     }
 
     #[test]

@@ -78,6 +78,37 @@ fn removed_minterm_edit_splices_and_matches_cold() {
     }
 }
 
+/// Two added minterms on a dense function: the splice records each
+/// group's keys new member by new member, so keys that share a new row
+/// `d` reach the merge out of `rep` order, in groups of a hundred keys
+/// and more.
+/// The splice must still be taken, and the set it builds must be the cold
+/// set of the edited function, bit for bit.
+#[test]
+fn two_point_splices_merge_keys_out_of_rep_order() {
+    let base = BoolFn::from_truth_fn(N, |x| x % 5 != 0);
+    let edited = BoolFn::from_truth_fn(N, |x| x % 5 != 0 || x == 10 || x == 35);
+    let cold = Minimizer::new(&edited).threads(1).generate();
+    assert!(!cold.stats.truncated);
+    let cold_form = Minimizer::new(&edited).threads(1).run_exact().form;
+    for threads in [1usize, 2] {
+        let cache = SppCache::in_memory(32 * 1024 * 1024);
+        let _ = Minimizer::new(&base).threads(threads).cache(cache.clone()).run_exact();
+        let warm = Minimizer::new(&edited).threads(threads).cache(cache.clone()).run_exact();
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.delta_reuses, stats.delta_rejects),
+            (1, 0),
+            "threads={threads}: the edited run must splice"
+        );
+        assert_eq!(warm.form, cold_form, "threads={threads}");
+        // The spliced set is cached under the edited function.
+        let spliced = Minimizer::new(&edited).threads(threads).cache(cache.clone()).generate();
+        assert_eq!(spliced.stats.comparisons, 0, "threads={threads}: a cache hit");
+        assert_eq!(spliced.pseudocubes, cold.pseudocubes, "threads={threads}");
+    }
+}
+
 #[test]
 fn identical_dont_cares_still_splice() {
     let on: Vec<Gf2Vec> =

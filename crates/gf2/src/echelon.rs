@@ -17,6 +17,15 @@ use crate::Gf2Vec;
 /// **structure** (Definition 2) — two pseudocubes can be united into a larger
 /// pseudocube iff their `EchelonBasis` are equal (Theorem 1).
 ///
+/// A basis of dimension at most 8 keeps its rows and pivots inline, in
+/// fixed arrays inside the value, so building, cloning or dropping it never
+/// touches the heap; every pseudocube of a function of at most 8 inputs is
+/// such a basis. A larger basis spills its rows and pivots to the heap, once,
+/// when an insertion crosses the inline capacity. Where the rows live changes
+/// nothing observable: [`rows`](Self::rows) and [`pivots`](Self::pivots) are
+/// slices either way, and equality, order, hashing and the digest read only
+/// those slices.
+///
 /// # Examples
 ///
 /// ```
@@ -32,8 +41,6 @@ use crate::Gf2Vec;
 #[derive(Clone)]
 pub struct EchelonBasis {
     n: u16,
-    rows: Vec<Gf2Vec>,
-    pivots: Vec<u16>,
     /// FNV-1a digest of `(n, rows)`, maintained by [`EchelonBasis::insert`]
     /// (the only mutator). The reduced echelon form is canonical per
     /// subspace, so equal subspaces always carry equal digests — which makes
@@ -41,6 +48,71 @@ pub struct EchelonBasis {
     /// generator's open-level dedup hashes and compares structures many
     /// times per level; caching here is what keeps that cheap.
     hash: u64,
+    store: Store,
+}
+
+/// The largest dimension whose rows and pivots an [`EchelonBasis`] keeps
+/// inline.
+const INLINE: usize = 8;
+
+/// Where an [`EchelonBasis`] keeps its rows and pivots, in pivot order.
+#[derive(Clone)]
+enum Store {
+    /// At most [`INLINE`] rows: the first `len` entries of each array.
+    Inline { len: u8, pivots: [u16; INLINE], rows: [Gf2Vec; INLINE] },
+    /// More than [`INLINE`] rows.
+    Spilled { rows: Vec<Gf2Vec>, pivots: Vec<u16> },
+}
+
+impl Store {
+    fn rows(&self) -> &[Gf2Vec] {
+        match self {
+            Store::Inline { len, rows, .. } => &rows[..usize::from(*len)],
+            Store::Spilled { rows, .. } => rows,
+        }
+    }
+
+    fn pivots(&self) -> &[u16] {
+        match self {
+            Store::Inline { len, pivots, .. } => &pivots[..usize::from(*len)],
+            Store::Spilled { pivots, .. } => pivots,
+        }
+    }
+
+    fn rows_mut(&mut self) -> &mut [Gf2Vec] {
+        match self {
+            Store::Inline { len, rows, .. } => &mut rows[..usize::from(*len)],
+            Store::Spilled { rows, .. } => rows,
+        }
+    }
+
+    /// Inserts `row` with pivot `pivot` at position `pos`, spilling to the
+    /// heap when the inline arrays are full.
+    fn insert(&mut self, pos: usize, row: Gf2Vec, pivot: u16) {
+        match self {
+            Store::Inline { len, pivots, rows } if usize::from(*len) < INLINE => {
+                let end = usize::from(*len);
+                rows.copy_within(pos..end, pos + 1);
+                pivots.copy_within(pos..end, pos + 1);
+                rows[pos] = row;
+                pivots[pos] = pivot;
+                *len += 1;
+            }
+            Store::Inline { pivots: inline_pivots, rows: inline_rows, .. } => {
+                let mut rows = Vec::with_capacity(2 * INLINE);
+                rows.extend_from_slice(inline_rows);
+                rows.insert(pos, row);
+                let mut pivots = Vec::with_capacity(2 * INLINE);
+                pivots.extend_from_slice(inline_pivots);
+                pivots.insert(pos, pivot);
+                *self = Store::Spilled { rows, pivots };
+            }
+            Store::Spilled { rows, pivots } => {
+                rows.insert(pos, row);
+                pivots.insert(pos, pivot);
+            }
+        }
+    }
 }
 
 /// `EchelonBasis` equality must stay consistent with the cached digest, so
@@ -49,7 +121,7 @@ pub struct EchelonBasis {
 /// (which downstream types rely on for canonical sort order).
 impl PartialEq for EchelonBasis {
     fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.n == other.n && self.rows == other.rows
+        self.hash == other.hash && self.n == other.n && self.rows() == other.rows()
     }
 }
 
@@ -65,8 +137,8 @@ impl Ord for EchelonBasis {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.n
             .cmp(&other.n)
-            .then_with(|| self.rows.cmp(&other.rows))
-            .then_with(|| self.pivots.cmp(&other.pivots))
+            .then_with(|| self.rows().cmp(other.rows()))
+            .then_with(|| self.pivots().cmp(other.pivots()))
     }
 }
 
@@ -120,7 +192,12 @@ impl EchelonBasis {
     #[must_use]
     pub fn new(n: usize) -> Self {
         assert!(n <= crate::MAX_BITS, "dimension {n} exceeds {}", crate::MAX_BITS);
-        let mut basis = EchelonBasis { n: n as u16, rows: Vec::new(), pivots: Vec::new(), hash: 0 };
+        let store = Store::Inline {
+            len: 0,
+            pivots: [0; INLINE],
+            rows: [Gf2Vec::zeros(0); INLINE],
+        };
+        let mut basis = EchelonBasis { n: n as u16, hash: 0, store };
         basis.recompute_hash();
         basis
     }
@@ -139,37 +216,6 @@ impl EchelonBasis {
         basis
     }
 
-    /// Builds a basis directly from rows that are **already in reduced
-    /// echelon form**: pivots strictly increasing, `pivots[j]` the lowest
-    /// set bit of `rows[j]`, and every pivot column zero in all other
-    /// rows. Skips the per-row reduction that [`from_span`](Self::from_span)
-    /// performs and recomputes the digest exactly once — the fast path for
-    /// callers (like the generator's union sweep) that maintain the normal
-    /// form themselves in scratch buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > MAX_BITS`; debug builds additionally panic when the
-    /// rows are not in reduced echelon form.
-    #[must_use]
-    pub fn from_reduced_rows(n: usize, rows: Vec<Gf2Vec>, pivots: Vec<u16>) -> Self {
-        assert!(n <= crate::MAX_BITS, "dimension {n} exceeds {}", crate::MAX_BITS);
-        debug_assert_eq!(rows.len(), pivots.len(), "one pivot per row");
-        #[cfg(debug_assertions)]
-        for (j, (row, &p)) in rows.iter().zip(pivots.iter()).enumerate() {
-            debug_assert_eq!(row.len(), n, "row length must match ambient dim");
-            debug_assert_eq!(row.lowest_set_bit(), Some(p as usize), "pivot is lowest set bit");
-            debug_assert!(j == 0 || pivots[j - 1] < p, "pivots strictly increasing");
-            debug_assert!(
-                rows.iter().enumerate().all(|(i, r)| i == j || !r.get(p as usize)),
-                "pivot column clear in other rows"
-            );
-        }
-        let mut basis = EchelonBasis { n: n as u16, rows, pivots, hash: 0 };
-        basis.recompute_hash();
-        basis
-    }
-
     /// The ambient dimension `n`.
     #[must_use]
     pub fn ambient_dim(&self) -> usize {
@@ -179,26 +225,26 @@ impl EchelonBasis {
     /// The dimension `m` of the subspace (number of basis rows).
     #[must_use]
     pub fn dim(&self) -> usize {
-        self.rows.len()
+        self.rows().len()
     }
 
     /// The basis rows, in pivot order.
     #[must_use]
     pub fn rows(&self) -> &[Gf2Vec] {
-        &self.rows
+        self.store.rows()
     }
 
     /// The pivot positions (the paper's canonical variables), strictly
     /// increasing. `pivots()[j]` is the pivot of `rows()[j]`.
     #[must_use]
     pub fn pivots(&self) -> &[u16] {
-        &self.pivots
+        self.store.pivots()
     }
 
     /// Whether variable `i` is a pivot (canonical) position.
     #[must_use]
     pub fn is_pivot(&self, i: usize) -> bool {
-        self.pivots.binary_search(&(i as u16)).is_ok()
+        self.pivots().binary_search(&(i as u16)).is_ok()
     }
 
     /// Reduces `v` modulo the subspace: XORs away every basis row whose
@@ -211,7 +257,7 @@ impl EchelonBasis {
     #[must_use]
     pub fn reduce(&self, mut v: Gf2Vec) -> Gf2Vec {
         assert_eq!(v.len(), self.ambient_dim(), "vector length must match ambient dim");
-        for (row, &p) in self.rows.iter().zip(self.pivots.iter()) {
+        for (row, &p) in self.rows().iter().zip(self.pivots()) {
             if v.get(p as usize) {
                 v ^= *row;
             }
@@ -243,14 +289,13 @@ impl EchelonBasis {
             return false;
         };
         // Clear the new pivot column in existing rows.
-        for row in self.rows.iter_mut() {
+        for row in self.store.rows_mut() {
             if row.get(p) {
                 *row ^= reduced;
             }
         }
-        let pos = self.pivots.partition_point(|&q| (q as usize) < p);
-        self.rows.insert(pos, reduced);
-        self.pivots.insert(pos, p as u16);
+        let pos = self.pivots().partition_point(|&q| (q as usize) < p);
+        self.store.insert(pos, reduced, p as u16);
         self.recompute_hash();
         true
     }
@@ -268,7 +313,7 @@ impl EchelonBasis {
         use std::hash::{Hash, Hasher};
         let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
         self.n.hash(&mut h);
-        self.rows.hash(&mut h);
+        self.rows().hash(&mut h);
         self.hash = h.finish();
     }
 
@@ -288,7 +333,7 @@ impl EchelonBasis {
     #[must_use]
     pub fn is_subspace_of(&self, other: &EchelonBasis) -> bool {
         assert_eq!(self.n, other.n, "ambient dimensions must match");
-        self.rows.iter().all(|r| other.contains(r))
+        self.rows().iter().all(|r| other.contains(r))
     }
 
     /// Iterates over all `2^m` members of the coset `rep ⊕ W` in Gray-code
@@ -333,14 +378,14 @@ impl EchelonBasis {
                 if j == j0 {
                     continue;
                 }
-                let mut v = self.rows[j];
+                let mut v = self.rows()[j];
                 if (c >> j) & 1 == 1 {
-                    v ^= self.rows[j0];
+                    v ^= self.rows()[j0];
                 }
                 sub.insert(v);
             }
             debug_assert_eq!(sub.dim(), m - 1);
-            out.push(Hyperplane { basis: sub, offset: self.rows[j0] });
+            out.push(Hyperplane { basis: sub, offset: self.rows()[j0] });
         }
         out
     }
@@ -349,7 +394,7 @@ impl EchelonBasis {
 impl fmt::Debug for EchelonBasis {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "EchelonBasis(n={}, dim={})", self.n, self.dim())?;
-        for row in &self.rows {
+        for row in self.rows() {
             write!(f, " {row}")?;
         }
         Ok(())
@@ -358,10 +403,10 @@ impl fmt::Debug for EchelonBasis {
 
 impl fmt::Display for EchelonBasis {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.rows.is_empty() {
+        if self.rows().is_empty() {
             return write!(f, "{{0}}");
         }
-        for (i, row) in self.rows.iter().enumerate() {
+        for (i, row) in self.rows().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -405,7 +450,7 @@ impl Iterator for CosetIter<'_> {
             let gray_prev = (self.index - 1) ^ ((self.index - 1) >> 1);
             let gray_next = self.index ^ (self.index >> 1);
             let flip = (gray_prev ^ gray_next).trailing_zeros() as usize;
-            self.current ^= self.basis.rows[flip];
+            self.current ^= self.basis.rows()[flip];
         }
         Some(out)
     }
@@ -573,15 +618,25 @@ mod tests {
         // per row its word count, its two words and its length, each one
         // folded as a whole word (one multiply per word, none per byte).
         let fold = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01B3);
+        // Spilled bases fold the same way: `e_i + e_{n-1}` for `i < dim`
+        // are reduced rows, at and past the inline capacity.
+        let spread = |n: usize, dim: usize| -> Vec<Gf2Vec> {
+            (0..dim).map(|i| Gf2Vec::from_index_bits(n, &[i, n - 1])).collect()
+        };
         for (n, span) in [
             (4, vec![]),
             (4, vec![v("0110"), v("1010")]),
             (6, vec![v("100001"), v("011000"), v("000111")]),
+            (24, spread(24, INLINE)),
+            (24, spread(24, INLINE + 1)),
+            (24, spread(24, 20)),
+            (128, spread(128, 20)),
         ] {
             let w = EchelonBasis::from_span(n, &span);
+            assert_eq!(w.dim(), span.len());
             let mut h = fold(0xcbf2_9ce4_8422_2325, n as u64);
-            h = fold(h, w.rows.len() as u64);
-            for row in &w.rows {
+            h = fold(h, w.dim() as u64);
+            for row in w.rows() {
                 h = fold(h, 2);
                 h = row.as_words().iter().fold(h, |h, &x| fold(h, x));
                 h = fold(h, row.len() as u64);
@@ -606,5 +661,118 @@ mod tests {
         let b = EchelonBasis::from_span(3, &[v("100")]);
         assert_eq!(a.cmp(&a), std::cmp::Ordering::Equal);
         assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+    }
+
+    /// A `Vec`-backed reduced echelon basis, stored as the type stored its
+    /// rows before they moved inline: the reference the inline and spilled
+    /// stores must agree with.
+    #[derive(Clone)]
+    struct Reference {
+        n: u16,
+        rows: Vec<Gf2Vec>,
+        pivots: Vec<u16>,
+    }
+
+    impl Reference {
+        fn insert(&mut self, mut v: Gf2Vec) -> bool {
+            for (row, &p) in self.rows.iter().zip(&self.pivots) {
+                if v.get(p as usize) {
+                    v ^= *row;
+                }
+            }
+            let Some(p) = v.lowest_set_bit() else {
+                return false;
+            };
+            for row in &mut self.rows {
+                if row.get(p) {
+                    *row ^= v;
+                }
+            }
+            let pos = self.pivots.partition_point(|&q| (q as usize) < p);
+            self.rows.insert(pos, v);
+            self.pivots.insert(pos, p as u16);
+            true
+        }
+
+        fn digest(&self) -> u64 {
+            use std::hash::{Hash, Hasher};
+            let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+            self.n.hash(&mut h);
+            self.rows.hash(&mut h);
+            h.finish()
+        }
+
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            (self.n, &self.rows, &self.pivots).cmp(&(other.n, &other.rows, &other.pivots))
+        }
+    }
+
+    fn std_hash(x: &impl std::hash::Hash) -> u64 {
+        use std::hash::BuildHasher;
+        std::hash::BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default()
+            .hash_one(x)
+    }
+
+    #[test]
+    fn spilled_bases_agree_with_a_vec_reference() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for n in [24usize, 128] {
+            let mut next = || {
+                let mut word = || {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x
+                };
+                let mut v = Gf2Vec::zeros(n);
+                let (lo, hi) = (word(), word());
+                for i in (0..n).filter(|&i| [lo, hi][i / 64] >> (i % 64) & 1 == 1) {
+                    v.set(i, true);
+                }
+                v
+            };
+            // One insertion at a time, through dims INLINE − 1, INLINE,
+            // INLINE + 1 (the insertion that spills) and on to 20.
+            let mut basis = EchelonBasis::new(n);
+            let mut reference = Reference { n: n as u16, rows: Vec::new(), pivots: Vec::new() };
+            let mut inserted = Vec::new();
+            let mut steps = vec![(basis.clone(), reference.clone())];
+            while basis.dim() < 20 {
+                let v = next();
+                assert_eq!(basis.insert(v), reference.insert(v), "n = {n}, dim {}", basis.dim());
+                inserted.push(v);
+                if steps.last().is_some_and(|(b, _)| b.dim() < basis.dim()) {
+                    steps.push((basis.clone(), reference.clone()));
+                }
+            }
+            let dims: Vec<usize> = steps.iter().map(|(b, _)| b.dim()).collect();
+            assert_eq!(dims, (0..=20).collect::<Vec<_>>());
+            for (b, r) in &steps {
+                let what = format!("n = {n}, dim {}", b.dim());
+                assert_eq!(b.rows(), r.rows.as_slice(), "{what}");
+                assert_eq!(b.pivots(), r.pivots.as_slice(), "{what}");
+                assert_eq!(b.structure_hash(), r.digest(), "{what}");
+                assert_eq!(std_hash(b), std_hash(&r.digest()), "{what}");
+                assert_eq!(b.clone(), *b, "{what}");
+                assert_eq!(matches!(b.store, Store::Inline { .. }), b.dim() <= INLINE, "{what}");
+            }
+            for (a, ra) in &steps {
+                for (b, rb) in &steps {
+                    assert_eq!(a.cmp(b), ra.cmp(rb), "n = {n}, dims {} {}", a.dim(), b.dim());
+                    assert_eq!(a == b, a.dim() == b.dim(), "n = {n}, dims {} {}", a.dim(), b.dim());
+                }
+            }
+            // The same subspace from the same vectors in reverse order: a
+            // different insertion path to the same spilled normal form.
+            let reversed: Vec<Gf2Vec> = inserted.iter().rev().copied().collect();
+            let again = EchelonBasis::from_span(n, &reversed);
+            assert_eq!(again, basis, "n = {n}");
+            assert_eq!(again.cmp(&basis), std::cmp::Ordering::Equal, "n = {n}");
+            assert_eq!(std_hash(&again), std_hash(&basis), "n = {n}");
+            // A spilled basis still extends, reduces and enumerates.
+            let v = next();
+            assert_eq!(basis.extended(v).is_some(), !basis.contains(&v), "n = {n}");
+            assert!(basis.rows().iter().all(|row| basis.reduce(*row).is_zero()), "n = {n}");
+        }
     }
 }
