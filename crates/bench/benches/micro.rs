@@ -4,7 +4,8 @@
 //! random instance and maj5 output 0's exact matrix), and the generation
 //! paths (cold level sweep, Algorithm 2 and the quadratic baseline; the
 //! closed pair loop on 7-input
-//! parity, delta splice) and a warm EPPP cache hit.
+//! parity, a cold `run_exact` seed and the delta splice of a one-minterm
+//! edit after it) and a warm EPPP cache hit.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use spp_core::{Cex, PartitionTrie, Pseudocube};
@@ -211,21 +212,40 @@ fn bench_generation(c: &mut Criterion) {
     c.bench_function("gen/closed/parity7", |b| {
         b.iter(|| black_box(Minimizer::new(&parity7).threads(1).generate()))
     });
-    // The incremental path: a one-minterm edit answered by splicing the
-    // cached sibling snapshot. A splice consumes the snapshot it starts
-    // from, so each iteration re-seeds a fresh cache with a cold run —
-    // the splice's marginal cost is this time minus `gen/cold/trie`.
-    let edited = BoolFn::from_truth_fn(8, |x| x == 2 || x % 3 == 1 || x.count_ones() % 2 == 0);
+    // The incremental path: a one-minterm edit of mlp4's output 5
+    // answered by `run_exact`, whose generation splices the cached
+    // sibling's level snapshot (`generate` never consults snapshots, so
+    // it cannot splice). A splice consumes the snapshot it starts from, so
+    // each iteration re-seeds a fresh cache with a cold `run_exact` of the
+    // unedited output, which captures one. One worker and greedy covers
+    // (no exact columns), so generation dominates: `gen/exact_cold_seed`
+    // times the seed alone and `gen/cold_seed_then_delta_splice` the seed
+    // plus the edit's spliced run, so the edit's cost is the difference.
+    let mlp4_5 = spp_benchgen::registry::circuit("mlp4").expect("registry").output_on_support(5);
+    let edited = spp_bench::one_flip_edit(&mlp4_5);
+    let greedy = Limits::default().with_max_exact_columns(0);
+    let exact = |g: &BoolFn, cache: &SppCache| {
+        Minimizer::new(g).threads(1).cover_limits(greedy.clone()).cache(cache.clone()).run_exact()
+    };
+    let seed = || {
+        // Roomy enough that no shard evicts the level snapshot.
+        let cache = SppCache::in_memory(512 * 1024 * 1024);
+        let _ = exact(&mlp4_5, &cache);
+        cache
+    };
+    let cache = seed();
+    let before = cache.stats().delta_reuses;
+    let _ = exact(&edited, &cache);
+    assert_eq!(cache.stats().delta_reuses, before + 1, "the edit must be answered by a splice");
+    c.bench_function("gen/exact_cold_seed", |b| b.iter(|| black_box(seed())));
     c.bench_function("gen/cold_seed_then_delta_splice", |b| {
         b.iter(|| {
-            let cache = SppCache::in_memory(64 * 1024 * 1024);
-            let _ = Minimizer::new(&f).cache(cache.clone()).generate();
-            black_box(Minimizer::new(&edited).cache(cache).generate())
+            let cache = seed();
+            black_box(exact(&edited, &cache))
         })
     });
     // A warm EPPP hit, one worker: mlp4's output 5 has 4,604 pseudocubes,
     // each copied out of the cache with its basis inline.
-    let mlp4_5 = spp_benchgen::registry::circuit("mlp4").expect("registry").output_on_support(5);
     let cache = SppCache::in_memory(64 * 1024 * 1024);
     let _ = Minimizer::new(&mlp4_5).threads(1).cache(cache.clone()).generate();
     c.bench_function("cache/warm_eppp/mlp4_5", |b| {

@@ -145,6 +145,12 @@ impl<'a> SessionSp<'a> {
     pub(crate) fn get(&self) -> &spp_sp::SpMinResult {
         self.minimum.get_or_init(|| sp_minimum(self.f, self.limits))
     }
+
+    /// Whether [`SessionSp::get`] has computed the minimum yet.
+    #[cfg(test)]
+    pub(crate) fn is_computed(&self) -> bool {
+        self.minimum.get().is_some()
+    }
 }
 
 /// Runs `body` as one `phase` of a session, between its `PhaseStarted`

@@ -253,18 +253,25 @@ fn gate_cost_cubes(cubes: &[spp_boolfn::Cube], combine_weight: u64) -> u64 {
 /// How one entrant fared.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PortfolioReport {
-    /// The form that ran.
+    /// The form that entered.
     pub form: Form,
-    /// How its run ended.
+    /// How its run ended ([`Outcome::Completed`] for a skipped entrant).
     pub outcome: Outcome,
     /// Its cost under the race objective — `None` if the result failed
-    /// verification (in which case it never competes).
+    /// verification (in which case it never competes) or the entrant was
+    /// skipped.
     pub cost: Option<u64>,
-    /// Wall-clock time this entrant took.
+    /// Wall-clock time this entrant took (zero if skipped).
     pub wall: Duration,
     /// Whether the entrant competed: verified and within the memory
     /// budget.
     pub accepted: bool,
+    /// Whether the race skipped the entrant without running it, because
+    /// an earlier entrant's proved minimum costs no more than any result
+    /// it could return (see [`Minimizer::run_portfolio`]). A skipped
+    /// entrant is not accepted and has no cost, but, unlike an excluded
+    /// one, it did not fail.
+    pub skipped: bool,
 }
 
 /// The race outcome: the cheapest verified realization plus the full
@@ -288,8 +295,8 @@ pub struct PortfolioResult {
     /// [`Rung::Sop`] for a SOP winner, and exact/heuristic for the cube
     /// engines depending on whether optimality was proved.
     pub rung: Rung,
-    /// One report per entrant, in running order (plus the SOP backstop
-    /// if the race needed it).
+    /// One report per entrant, in running order, skipped ones included
+    /// (plus the SOP backstop if the race needed it).
     pub reports: Vec<PortfolioReport>,
 }
 
@@ -298,7 +305,8 @@ impl Minimizer<'_> {
     /// realization under the portfolio's objective.
     ///
     /// This is the ladder's plan executor with a different plan: every
-    /// entrant runs, and the cheapest accepted one wins. All entrants
+    /// entrant runs unless skipped (below), and the cheapest accepted one
+    /// wins. All entrants
     /// share this session's deadline, cancellation token and memory
     /// budget; the byte account is reset before each form so one
     /// entrant's spike cannot disqualify the next. Entrants run in
@@ -311,15 +319,28 @@ impl Minimizer<'_> {
     /// excluded (memory-exceeded or unverified), the SP minimum backstops
     /// the race exactly as it backstops the ladder.
     ///
+    /// **Skipped entrants.** Under [`Objective::Literals`], an accepted SPP
+    /// result proved optimal on the exact rung ([`Rung::Exact`]: a cover
+    /// proved minimal over the complete EPPP set) costs no more than any
+    /// sum of products, since every SP form is an SPP form (paper §1: "in
+    /// the worst case, SP and SPP forms coincide") and every DSOP is an SP
+    /// form. DSOP and SOP could then at best tie, and a tie stays with
+    /// SPP, so they do not run: each gets a report with `skipped` set (not
+    /// accepted, no cost) and a [`spp_obs::Event::FormSkipped`] event in
+    /// place of its started/finished pair. The winner, its cost and
+    /// realization are the same as with the full race; to get DSOP or SOP
+    /// costs anyway, name those forms in the portfolio (or race on
+    /// [`Objective::Gates`], which never skips). ESOP always runs.
+    ///
     /// The race computes the SP minimum at most once, on first use, and
     /// every user shares it: the SOP entrant answers with it, the DSOP
     /// entrant splits its cover into disjoint products, and the ladder
     /// nested in the SPP entrant takes its backstop and truncated-pool
-    /// guards from it.
+    /// guards from it. A race that skips DSOP and SOP never computes it.
     ///
     /// ESOP, DSOP and SOP results of *complete* runs are cached per form
     /// when the session has a cache, so re-racing a function warms every
-    /// lane, not just the SPP one.
+    /// lane that ran, not just the SPP one.
     ///
     /// # Examples
     ///
@@ -335,6 +356,9 @@ impl Minimizer<'_> {
     /// assert_eq!((r.winner, r.cost), (Form::Spp, 4));
     /// assert!(r.realization.realizes(&f));
     /// assert_eq!(r.reports.len(), 4);
+    /// // The SPP minimum is proved, so DSOP and SOP were skipped.
+    /// let skipped: Vec<Form> = r.reports.iter().filter(|r| r.skipped).map(|r| r.form).collect();
+    /// assert_eq!(skipped, [Form::Dsop, Form::Sop]);
     /// ```
     ///
     /// # Panics
@@ -347,9 +371,10 @@ impl Minimizer<'_> {
         self.race(&entrants, portfolio.cost_objective(), &sp, |form| self.run_form(form, &sp))
     }
 
-    /// The race plan: `entrants` in order, each run by `run`, the cheapest
-    /// accepted one winning under `objective`; `sp` is the race's SP
-    /// minimum, which backstops it.
+    /// The race plan: `entrants` in order, each run by `run` unless a
+    /// proved SPP minimum rules it out, the cheapest accepted one winning
+    /// under `objective`; `sp` is the race's SP minimum, which backstops
+    /// it.
     fn race(
         &self,
         entrants: &[Form],
@@ -358,8 +383,13 @@ impl Minimizer<'_> {
         mut run: impl FnMut(Form) -> FormRun,
     ) -> PortfolioResult {
         let price = |r: &FormRun| r.realization.cost(objective);
-        let pick = Pick::Cheapest(&price);
-        let (won, verdicts) = self.run_plan(entrants, pick, sp, |form| Some(run(form)));
+        let rules_out = |r: &FormRun, form: Form| {
+            objective == Objective::Literals
+                && matches!(form, Form::Dsop | Form::Sop)
+                && r.proves_spp_minimum()
+        };
+        let pick = Pick::Cheapest { price: &price, rules_out: &rules_out };
+        let (won, verdicts) = self.run_plan(entrants, &pick, sp, |form| Some(run(form)));
         let reports = verdicts
             .into_iter()
             .map(|v| PortfolioReport {
@@ -368,6 +398,7 @@ impl Minimizer<'_> {
                 cost: v.cost,
                 wall: v.wall,
                 accepted: v.accepted,
+                skipped: v.skipped,
             })
             .collect();
         PortfolioResult {
@@ -465,6 +496,17 @@ struct FormRun {
     rung: Rung,
 }
 
+impl FormRun {
+    /// Whether this is an SPP form proved minimal over the complete EPPP
+    /// set: `optimal` on the exact rung, whose flag requires an
+    /// untruncated generation and a completed covering proof.
+    fn proves_spp_minimum(&self) -> bool {
+        matches!(self.realization, FormRealization::Spp(_))
+            && self.optimal
+            && self.rung == Rung::Exact
+    }
+}
+
 impl Attempt for FormRun {
     fn outcome(&self) -> Outcome {
         self.outcome
@@ -485,7 +527,7 @@ impl Attempt for FormRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SppCache;
+    use crate::{SppCache, SppOptions};
     use spp_obs::{JsonLinesSink, Outcome, RunCtx};
     use std::sync::{Arc, Mutex};
 
@@ -501,17 +543,45 @@ mod tests {
         }
     }
 
+    /// `(form, cost, accepted, skipped)` per report.
+    fn board(r: &PortfolioResult) -> Vec<(Form, Option<u64>, bool, bool)> {
+        r.reports.iter().map(|rep| (rep.form, rep.cost, rep.accepted, rep.skipped)).collect()
+    }
+
     #[test]
     fn parity_ties_break_to_spp() {
+        use Form::{Dsop, Esop, Sop, Spp};
         let f = BoolFn::from_truth_fn(4, |x| x.count_ones() % 2 == 1);
         let r = Minimizer::new(&f).run_portfolio(&FormPortfolio::new());
         assert_eq!(r.winner, Form::Spp);
         assert_eq!(r.cost, 4);
         assert!(r.realization.realizes(&f));
-        assert_eq!(r.reports.len(), 4);
-        assert!(r.reports.iter().all(|rep| rep.accepted));
+        // Every entrant that ran is accepted; DSOP and SOP, which cannot
+        // beat the proved SPP minimum, are skipped.
+        assert_eq!(
+            board(&r),
+            [
+                (Spp, Some(4), true, false),
+                (Esop, Some(4), true, false),
+                (Dsop, None, false, true),
+                (Sop, None, false, true),
+            ]
+        );
         // Winner's cost is ≤ every entrant's cost — the race invariant.
         assert!(r.reports.iter().all(|rep| rep.cost.is_none_or(|c| r.cost <= c)));
+        // Named, the cube forms all run: the ESOP ties SPP's 4 literals,
+        // DSOP and SOP need all 8 minterms (32 literals).
+        let cubes = FormPortfolio::new().forms(vec![Esop, Dsop, Sop]);
+        let r = Minimizer::new(&f).run_portfolio(&cubes);
+        assert_eq!((r.winner, r.cost), (Esop, 4));
+        assert_eq!(
+            board(&r),
+            [
+                (Esop, Some(4), true, false),
+                (Dsop, Some(32), true, false),
+                (Sop, Some(32), true, false),
+            ]
+        );
     }
 
     #[test]
@@ -550,16 +620,39 @@ mod tests {
             m
         };
         let _ = m.run_portfolio(&FormPortfolio::new());
+        let _ = m.run_portfolio(&FormPortfolio::new().objective(Objective::Gates));
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let started: Vec<&str> = text
+        // `event:form` per form event, ignoring the finished events' fields.
+        let trace: Vec<String> = text
             .lines()
-            .filter(|l| l.contains("\"form_started\""))
+            .filter(|l| l.starts_with("{\"event\":\"form_"))
+            .map(|l| {
+                let field = |key: &str| l.split(key).nth(1).unwrap().split('"').nth(1).unwrap();
+                format!("{}:{}", field("\"event\":"), field("\"form\":"))
+            })
             .collect();
-        assert_eq!(started.len(), 4);
-        for (line, name) in started.iter().zip(["spp", "esop", "dsop", "sop"]) {
-            assert!(line.contains(name), "{line} should be {name}");
-        }
-        assert_eq!(text.lines().filter(|l| l.contains("\"form_finished\"")).count(), 4);
+        assert_eq!(
+            trace,
+            [
+                // Literals: the SPP minimum is proved, so DSOP and SOP
+                // are skipped in their turn.
+                "form_started:spp",
+                "form_finished:spp",
+                "form_started:esop",
+                "form_finished:esop",
+                "form_skipped:dsop",
+                "form_skipped:sop",
+                // Gates: every form runs.
+                "form_started:spp",
+                "form_finished:spp",
+                "form_started:esop",
+                "form_finished:esop",
+                "form_started:dsop",
+                "form_finished:dsop",
+                "form_started:sop",
+                "form_finished:sop",
+            ]
+        );
     }
 
     #[test]
@@ -650,18 +743,46 @@ mod tests {
 
     #[test]
     fn warm_race_hits_every_form_lane() {
-        let cache = SppCache::in_memory(4 * 1024 * 1024);
+        use Form::{Dsop, Esop, Sop};
         let f = BoolFn::from_truth_fn(4, |x| x % 3 == 1);
+        // The cube lanes run when named, or under the gate objective.
+        let races = [
+            FormPortfolio::new().forms(vec![Esop, Dsop, Sop]),
+            FormPortfolio::new().objective(Objective::Gates),
+        ];
+        for race in races {
+            let cache = SppCache::in_memory(4 * 1024 * 1024);
+            let cold = Minimizer::new(&f).cache(cache.clone()).run_portfolio(&race);
+            let baseline = cache.stats().hits;
+            let warm = Minimizer::new(&f).cache(cache.clone()).run_portfolio(&race);
+            assert_eq!(cold.winner, warm.winner);
+            assert_eq!(cold.cost, warm.cost);
+            // At least the three cube lanes hit (the SPP lane has its own
+            // result cache, counted separately).
+            assert!(cache.stats().hits >= baseline + 3, "stats: {:?}", cache.stats());
+            assert!(warm.reports.iter().all(|rep| rep.outcome == Outcome::Completed));
+            assert!(warm.reports.iter().all(|rep| rep.accepted && !rep.skipped));
+            // Each warmed lane answers alone from its cache, and realizes f.
+            for form in [Esop, Dsop, Sop] {
+                let before = cache.stats().hits;
+                let single = FormPortfolio::new().forms(vec![form]);
+                let r = Minimizer::new(&f).cache(cache.clone()).run_portfolio(&single);
+                assert_eq!(cache.stats().hits, before + 1, "{form}: {:?}", cache.stats());
+                assert!(r.realization.realizes(&f), "{form}");
+            }
+        }
+        // The literal race skips DSOP and SOP, so it neither reads nor
+        // warms their lanes: a warm re-race hits the SPP and ESOP lanes.
+        let cache = SppCache::in_memory(4 * 1024 * 1024);
         let race = FormPortfolio::new();
         let cold = Minimizer::new(&f).cache(cache.clone()).run_portfolio(&race);
         let baseline = cache.stats().hits;
         let warm = Minimizer::new(&f).cache(cache.clone()).run_portfolio(&race);
-        assert_eq!(cold.winner, warm.winner);
-        assert_eq!(cold.cost, warm.cost);
-        // At least the three cube lanes hit (the SPP lane has its own
-        // result cache, counted separately).
-        assert!(cache.stats().hits >= baseline + 3, "stats: {:?}", cache.stats());
-        assert!(warm.reports.iter().all(|rep| rep.outcome == Outcome::Completed));
+        assert_eq!((cold.winner, cold.cost), (warm.winner, warm.cost));
+        assert!(cache.stats().hits >= baseline + 2, "stats: {:?}", cache.stats());
+        let skipped = warm.reports.iter().filter(|rep| rep.skipped).map(|rep| rep.form);
+        assert_eq!(skipped.collect::<Vec<_>>(), [Dsop, Sop]);
+        assert!(cache.get_form_cubes(&f, Dsop, &SppOptions::default(), &RunCtx::new()).is_none());
     }
 
     /// Four dense 5-input functions and four 6-input unions of affine
@@ -701,9 +822,9 @@ mod tests {
 
     #[test]
     fn dsop_and_sop_entrants_split_one_sp_cover() {
-        use Form::{Esop, Spp};
-        // Winner, cost and the (form, cost, accepted) scoreboard of each
-        // race: the SP minimum computed once per race changes none of them.
+        use Form::{Dsop, Esop, Sop, Spp};
+        // Winner, cost and each entrant's cost per race: the SP minimum
+        // computed once per race changes none of them.
         let pinned: [(Form, u64, [u64; 4]); 8] = [
             (Spp, 18, [18, 21, 40, 30]),
             (Spp, 12, [12, 19, 32, 20]),
@@ -714,23 +835,32 @@ mod tests {
             (Spp, 18, [18, 31, 31, 30]),
             (Spp, 19, [19, 32, 49, 49]),
         ];
-        for (f, (winner, cost, costs)) in seeded_race_functions().iter().zip(pinned) {
+        let fns = seeded_race_functions();
+        for (f, (winner, cost, [spp, esop, dsop, sop])) in fns.iter().zip(pinned) {
+            // The full race: every SPP minimum here is proved, so DSOP and
+            // SOP are skipped and the SP minimum is never computed.
             let m = Minimizer::new(f);
             let sp = m.session_sp();
+            let r = m.race(&Form::ALL, Objective::Literals, &sp, |form| m.run_form(form, &sp));
+            let expected = [
+                (Spp, Some(spp), true, false),
+                (Esop, Some(esop), true, false),
+                (Dsop, None, false, true),
+                (Sop, None, false, true),
+            ];
+            assert_eq!((r.winner, r.cost, board(&r)), (winner, cost, expected.to_vec()));
+            assert!(!sp.is_computed(), "a race that skips DSOP and SOP computed the SP minimum");
+
+            // The DSOP and SOP entrants, raced alone, share one SP minimum.
             let mut built = Vec::new();
-            let r = m.race(&Form::ALL, Objective::Literals, &sp, |form| {
+            let r = m.race(&[Dsop, Sop], Objective::Literals, &sp, |form| {
                 let run = m.run_form(form, &sp);
                 built.push(run.realization.clone());
                 run
             });
-            let board: Vec<(Form, Option<u64>, bool)> =
-                r.reports.iter().map(|rep| (rep.form, rep.cost, rep.accepted)).collect();
-            let expected: Vec<(Form, Option<u64>, bool)> =
-                Form::ALL.into_iter().zip(costs).map(|(form, c)| (form, Some(c), true)).collect();
-            assert_eq!((r.winner, r.cost, board), (winner, cost, expected));
-
-            let [_, _, FormRealization::Dsop(dsop), FormRealization::Sop(sop)] = built.as_slice()
-            else {
+            let expected = [(Dsop, Some(dsop), true, false), (Sop, Some(sop), true, false)];
+            assert_eq!(board(&r), expected);
+            let [FormRealization::Dsop(dsop), FormRealization::Sop(sop)] = built.as_slice() else {
                 panic!("entrants ran out of order: {built:?}");
             };
             assert_eq!(sop, &sp.get().form);
@@ -742,6 +872,61 @@ mod tests {
                 assert_eq!(in_dsop, sop.eval(&point), "point {point}");
             }
         }
+    }
+
+    /// Skipping is sound on the seeded functions: a literal race that
+    /// skips DSOP and SOP does so only after a proved SPP minimum, and
+    /// each skipped form, raced alone, realizes `f` at no lower cost than
+    /// the SPP entrant. The gate objective never skips.
+    #[test]
+    fn skipped_entrants_cost_no_less_than_the_proved_spp_minimum() {
+        use Form::{Dsop, Sop, Spp};
+        for f in &seeded_race_functions() {
+            let r = Minimizer::new(f).run_portfolio(&FormPortfolio::new());
+            let spp = r.reports.iter().find(|rep| rep.form == Spp).unwrap();
+            let governed = Minimizer::new(f).run_governed();
+            assert!(governed.optimal && governed.rung == Rung::Exact);
+            assert_eq!(spp.cost, Some(governed.literal_count()));
+            let skipped: Vec<Form> =
+                r.reports.iter().filter(|rep| rep.skipped).map(|rep| rep.form).collect();
+            assert_eq!(skipped, [Dsop, Sop]);
+            for form in [Dsop, Sop] {
+                let race = FormPortfolio::new().forms(vec![form]);
+                let alone = Minimizer::new(f).run_portfolio(&race);
+                assert_eq!(alone.winner, form);
+                assert!(alone.realization.realizes(f), "{form}");
+                assert!(alone.cost >= governed.literal_count(), "{form}: {}", alone.cost);
+            }
+            let gates = FormPortfolio::new().objective(Objective::Gates);
+            let g = Minimizer::new(f).run_portfolio(&gates);
+            assert_eq!(g.reports.len(), 4);
+            assert!(g.reports.iter().all(|rep| rep.accepted && !rep.skipped));
+        }
+    }
+
+    /// An SPP result that is not proved on the exact rung rules nothing
+    /// out: the race runs all four entrants, and its answer is the one
+    /// the full race would give.
+    #[test]
+    fn unproved_spp_results_run_the_whole_race() {
+        let no_exact = spp_cover::Limits::default().with_max_exact_columns(0);
+        let one_node = spp_cover::Limits::default().with_max_nodes(1);
+        let mut unproved = 0;
+        for f in &seeded_race_functions() {
+            for limits in [no_exact.clone(), one_node.clone()] {
+                let governed = Minimizer::new(f).cover_limits(limits.clone()).run_governed();
+                if governed.optimal && governed.rung == Rung::Exact {
+                    continue; // the greedy cover or the root proved it anyway
+                }
+                unproved += 1;
+                let r = Minimizer::new(f).cover_limits(limits).run_portfolio(&FormPortfolio::new());
+                assert_eq!(r.reports.len(), 4);
+                assert!(r.reports.iter().all(|rep| rep.accepted && !rep.skipped), "{r:?}");
+                assert!(r.reports.iter().all(|rep| rep.cost.is_some_and(|c| r.cost <= c)));
+            }
+        }
+        // Both caps must leave some proof unfinished.
+        assert!(unproved >= 8, "only {unproved} unproved races");
     }
 
     #[test]

@@ -624,8 +624,9 @@ pub struct MinimizeResponse {
     pub winner: Option<Form>,
     /// For portfolio runs: one report per entrant, aggregated across
     /// outputs (outcomes merged to the worst, costs summed — `None` if
-    /// any output's entrant failed verification, wall times summed,
-    /// accepted only if accepted everywhere). `None` for other modes.
+    /// any output's entrant failed verification or was skipped, wall
+    /// times summed, accepted only if accepted everywhere, skipped if
+    /// skipped anywhere). `None` for other modes.
     pub forms: Option<Vec<PortfolioReport>>,
     /// Wall-clock execution time (excluding queue wait).
     pub wall: Duration,
@@ -694,6 +695,10 @@ impl MinimizeResponse {
                         Json::from(r.wall.as_secs_f64() * 1e3),
                     ));
                     entry.push(("accepted".into(), Json::from(r.accepted)));
+                    if r.skipped {
+                        // Absent means the entrant ran, as in older replies.
+                        entry.push(("skipped".into(), Json::from(true)));
+                    }
                     Json::Obj(entry)
                 })
                 .collect();
@@ -768,6 +773,10 @@ impl MinimizeResponse {
                                 entry.get("wall_ms")?.as_f64()?.max(0.0) / 1e3,
                             ),
                             accepted: entry.get("accepted")?.as_bool()?,
+                            skipped: match entry.get("skipped") {
+                                None => false,
+                                Some(s) => s.as_bool()?,
+                            },
                         })
                     })
                     .collect::<Option<Vec<_>>>()
@@ -876,9 +885,10 @@ pub struct Executed {
 
 /// Folds per-output portfolio scoreboards into one report per form:
 /// outcomes merge to the worst, costs sum (`None` poisons the sum), wall
-/// times sum, and a form only stays accepted if it was accepted — and
-/// present — for *every* output. Output order is the canonical
-/// [`Form::ALL`] order.
+/// times sum, a form only stays accepted if it was accepted — and
+/// present — for *every* output, and a form skipped on any output is
+/// skipped in the aggregate (so it is never accepted and never the
+/// aggregate winner). Output order is the canonical [`Form::ALL`] order.
 fn aggregate_form_reports(per_output: &[Vec<PortfolioReport>]) -> Vec<PortfolioReport> {
     let mut out: Vec<PortfolioReport> = Vec::new();
     let mut seen: Vec<usize> = Vec::new();
@@ -892,6 +902,7 @@ fn aggregate_form_reports(per_output: &[Vec<PortfolioReport>]) -> Vec<PortfolioR
                 };
                 out[i].wall += r.wall;
                 out[i].accepted &= r.accepted;
+                out[i].skipped |= r.skipped;
                 seen[i] += 1;
             } else {
                 out.push(r.clone());
@@ -909,6 +920,18 @@ fn aggregate_form_reports(per_output: &[Vec<PortfolioReport>]) -> Vec<PortfolioR
     }
     out.sort_by_key(|r| r.form);
     out
+}
+
+/// The aggregate winner: cheapest summed cost among the forms accepted
+/// for every output (so never a form skipped on any output);
+/// `min_by_key` keeps the first of equal minima, so ties break toward
+/// the canonical-order earlier form.
+fn aggregate_winner(reports: &[PortfolioReport]) -> Option<Form> {
+    reports
+        .iter()
+        .filter(|r| r.accepted)
+        .min_by_key(|r| r.cost.unwrap_or(u64::MAX))
+        .map(|r| r.form)
 }
 
 /// Executes a request end to end: parses the PLA and hands its output
@@ -1085,15 +1108,7 @@ pub fn execute_fns(
         .collect();
     let (winner, form_reports) = if req.mode == MinimizeMode::Portfolio {
         let form_reports = aggregate_form_reports(&scoreboards);
-        // The aggregate winner: cheapest summed cost among forms accepted
-        // for every output; `min_by_key` keeps the first of equal minima,
-        // so ties break toward the canonical-order earlier form.
-        let winner = form_reports
-            .iter()
-            .filter(|r| r.accepted)
-            .min_by_key(|r| r.cost.unwrap_or(u64::MAX))
-            .map(|r| r.form);
-        (winner, Some(form_reports))
+        (aggregate_winner(&form_reports), Some(form_reports))
     } else {
         (None, None)
     };
@@ -1277,9 +1292,83 @@ mod tests {
             resp.forms.as_ref().map(|f| f.len())
         );
         for (a, b) in round.forms.unwrap().iter().zip(reports) {
-            assert_eq!((a.form, a.outcome, a.cost, a.accepted),
-                       (b.form, b.outcome, b.cost, b.accepted));
+            assert_eq!((a.form, a.outcome, a.cost, a.accepted, a.skipped),
+                       (b.form, b.outcome, b.cost, b.accepted, b.skipped));
         }
+    }
+
+    #[test]
+    fn skipped_reports_round_trip_and_an_absent_flag_means_ran() {
+        let req = MinimizeRequest::new("pf", XOR2).with_mode(MinimizeMode::Portfolio);
+        let resp = execute(&req, &ExecEnv::default()).unwrap().response;
+        let skipped = |resp: &MinimizeResponse| -> Vec<Form> {
+            let reports = resp.forms.as_deref().unwrap();
+            reports.iter().filter(|r| r.skipped).map(|r| r.form).collect()
+        };
+        // XOR2's SPP minimum is proved, so DSOP and SOP were skipped.
+        assert_eq!(skipped(&resp), [Form::Dsop, Form::Sop]);
+        let json = resp.to_json();
+        assert_eq!(json.matches("\"skipped\":true").count(), 2, "{json}");
+        assert!(!json.contains("\"skipped\":false"), "{json}");
+        let fields = |resp: &MinimizeResponse| -> Vec<_> {
+            let reports = resp.forms.as_deref().unwrap();
+            reports.iter().map(|r| (r.form, r.outcome, r.cost, r.accepted, r.skipped)).collect()
+        };
+        let round = MinimizeResponse::from_json(&json).unwrap();
+        assert_eq!(fields(&round), fields(&resp));
+        // A reply without the field (as older daemons send) reads as ran.
+        let old = MinimizeResponse::from_json(&json.replace(",\"skipped\":true", "")).unwrap();
+        assert!(skipped(&old).is_empty());
+        assert_eq!(old.forms.unwrap().len(), 4);
+        // A non-boolean flag is a malformed entry.
+        let bad = json.replacen("\"skipped\":true", "\"skipped\":1", 1);
+        assert_eq!(MinimizeResponse::from_json(&bad).unwrap_err().kind, WireErrorKind::BadFrame);
+    }
+
+    #[test]
+    fn forms_skipped_on_any_output_are_skipped_in_the_aggregate() {
+        use Form::{Dsop, Esop, Sop, Spp};
+        let report = |form, cost: Option<u64>, skipped: bool| PortfolioReport {
+            form,
+            outcome: Outcome::Completed,
+            cost,
+            wall: Duration::from_millis(1),
+            accepted: !skipped,
+            skipped,
+        };
+        // Output 0 proved its SPP minimum; output 1 raced all four forms,
+        // and there DSOP and SOP beat the rest by far.
+        let per_output = [
+            vec![
+                report(Spp, Some(10), false),
+                report(Esop, Some(12), false),
+                report(Dsop, None, true),
+                report(Sop, None, true),
+            ],
+            vec![
+                report(Spp, Some(30), false),
+                report(Esop, Some(20), false),
+                report(Dsop, Some(5), false),
+                report(Sop, Some(4), false),
+            ],
+        ];
+        let aggregate = aggregate_form_reports(&per_output);
+        let board: Vec<_> =
+            aggregate.iter().map(|r| (r.form, r.cost, r.accepted, r.skipped)).collect();
+        assert_eq!(
+            board,
+            [
+                (Spp, Some(40), true, false),
+                (Esop, Some(32), true, false),
+                (Dsop, None, false, true),
+                (Sop, None, false, true),
+            ]
+        );
+        assert_eq!(aggregate_winner(&aggregate), Some(Esop));
+        assert_eq!(aggregate[2].wall, Duration::from_millis(2));
+        // Nothing skipped anywhere: the cheapest sum wins.
+        let ran = [per_output[1].clone(), per_output[1].clone()];
+        assert_eq!(aggregate_winner(&aggregate_form_reports(&ran)), Some(Sop));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! entrants plus a selection rule (first accepted, or cheapest accepted),
 //! run by one executor that resets the byte account per entrant,
 //! traces it, verifies its result, excludes it on memory exhaustion or a
-//! failed check, and backstops an all-excluded plan with the SP minimum.
+//! failed check, skips the entrants an accepted result proves cannot beat
+//! it, and backstops an all-excluded plan with the SP minimum.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -360,7 +361,7 @@ impl Minimizer<'_> {
     /// — the race's, when the ladder is its SPP entrant.
     pub(crate) fn governed(&self, sp: &SessionSp<'_>) -> SppMinResult {
         let rungs = [Rung::Exact, Rung::RestrictedExact, Rung::Heuristic];
-        let (r, _) = self.run_plan(&rungs, Pick::First, sp, |rung| match rung {
+        let (r, _) = self.run_plan(&rungs, &Pick::First, sp, |rung| match rung {
             Rung::Exact => self.algorithm2(None, sp).ok(),
             Rung::RestrictedExact => self.algorithm2(Some(2), sp).ok(),
             _ => heuristic_session(self.f, 0, &self.options, &self.ctx).ok(),
@@ -377,21 +378,29 @@ impl Minimizer<'_> {
     /// reset and between its started/finished events, and verifies each
     /// result under its own semantics. An entrant that ends in
     /// [`Outcome::MemoryExceeded`], fails verification or cannot run at
-    /// all (`None`) is excluded; `pick` chooses among the rest. When every
-    /// entrant is excluded, the session's SP minimum `sp` answers as the
-    /// backstop entrant [`Lane::SOP`] — never optimal, with the outcome of
-    /// the run control. Returns the answer and one verdict per entrant
-    /// that ran, in order.
+    /// all (`None`) is excluded; `pick` chooses among the rest. A race
+    /// entrant that an earlier accepted result rules out (see
+    /// [`Pick::Cheapest`]) does not run: it gets a skipped verdict and a
+    /// skipped event instead. When every entrant is excluded, the
+    /// session's SP minimum `sp` answers as the backstop entrant
+    /// [`Lane::SOP`] — never optimal, with the outcome of the run control.
+    /// Returns the answer and one verdict per entrant, in order.
     pub(crate) fn run_plan<L: Lane, A: Attempt>(
         &self,
         entrants: &[L],
-        pick: Pick<'_, A>,
+        pick: &Pick<'_, A, L>,
         sp: &SessionSp<'_>,
         mut run: impl FnMut(L) -> Option<A>,
     ) -> (A, Vec<Verdict<L>>) {
         let mut verdicts = Vec::with_capacity(entrants.len() + 1);
         let mut best: Option<(A, u64)> = None;
-        for &lane in entrants {
+        let mut ruled_out = vec![false; entrants.len()];
+        for (i, &lane) in entrants.iter().enumerate() {
+            if ruled_out[i] {
+                self.ctx.emit(lane.skipped());
+                verdicts.push(Verdict::skipped(lane));
+                continue;
+            }
             self.ctx.governor().reset();
             self.ctx.emit(lane.started());
             let start = Instant::now();
@@ -399,15 +408,19 @@ impl Minimizer<'_> {
             let outcome = attempt.as_ref().map_or(Outcome::Completed, Attempt::outcome);
             let verified = attempt.as_ref().is_some_and(|a| a.realizes(self.f));
             let accepted = verified && outcome != Outcome::MemoryExceeded;
-            let cost = match (&pick, &attempt) {
-                (Pick::Cheapest(price), Some(a)) if verified => Some(price(a)),
+            let cost = match (pick, &attempt) {
+                (Pick::Cheapest { price, .. }, Some(a)) if verified => Some(price(a)),
                 _ => None,
             };
             self.ctx.emit(lane.finished(outcome, cost, accepted));
-            verdicts.push(Verdict { lane, outcome, cost, wall: start.elapsed(), accepted });
+            let wall = start.elapsed();
+            verdicts.push(Verdict { lane, outcome, cost, wall, accepted, skipped: false });
             let Some(a) = attempt.filter(|_| accepted) else { continue };
-            if matches!(pick, Pick::First) {
+            let Pick::Cheapest { rules_out, .. } = pick else {
                 return (a, verdicts);
+            };
+            for (later, out) in entrants.iter().zip(&mut ruled_out).skip(i + 1) {
+                *out |= rules_out(&a, *later);
             }
             // Strict `<`: ties stay with the earlier entrant, which pins
             // the answer at any thread count.
@@ -428,12 +441,13 @@ impl Minimizer<'_> {
         let outcome = self.ctx.stop_reason().unwrap_or_default();
         let a = A::backstop(sp, outcome, start.elapsed(), &self.ctx);
         let cost = match pick {
-            Pick::Cheapest(price) => Some(price(&a)),
+            Pick::Cheapest { price, .. } => Some(price(&a)),
             Pick::First => None,
         };
         self.ctx.emit(L::SOP.finished(outcome, cost, true));
         let wall = start.elapsed();
-        verdicts.push(Verdict { lane: L::SOP, outcome, cost, wall, accepted: true });
+        let (accepted, skipped) = (true, false);
+        verdicts.push(Verdict { lane: L::SOP, outcome, cost, wall, accepted, skipped });
         (a, verdicts)
     }
 }
@@ -452,13 +466,20 @@ impl Minimizer<'_, [BoolFn]> {
 }
 
 /// How a plan picks its answer among the entrants it accepts.
-pub(crate) enum Pick<'a, A> {
+pub(crate) enum Pick<'a, A, L> {
     /// The degradation ladder: the first accepted entrant answers and the
     /// ones after it never run.
     First,
-    /// The form race: every entrant runs, each verified one is priced,
-    /// and the cheapest accepted one answers.
-    Cheapest(&'a dyn Fn(&A) -> u64),
+    /// The form race: every entrant runs unless ruled out, each verified
+    /// one is priced, and the cheapest accepted one answers.
+    Cheapest {
+        /// An attempt's cost.
+        price: &'a dyn Fn(&A) -> u64,
+        /// Whether accepted attempt `a` proves that the later entrant `l`
+        /// cannot cost less than `a`. Such an entrant could at best tie,
+        /// and ties stay with the earlier entrant, so it is skipped.
+        rules_out: &'a dyn Fn(&A, L) -> bool,
+    },
 }
 
 /// What a plan's entrants are called in the event stream: ladder rungs
@@ -471,6 +492,8 @@ pub(crate) trait Lane: Copy {
     fn started(self) -> Event;
     /// The event closing the entrant.
     fn finished(self, outcome: Outcome, cost: Option<u64>, accepted: bool) -> Event;
+    /// The event standing in for an entrant the plan skipped.
+    fn skipped(self) -> Event;
 }
 
 impl Lane for Rung {
@@ -483,6 +506,10 @@ impl Lane for Rung {
     fn finished(self, outcome: Outcome, _cost: Option<u64>, accepted: bool) -> Event {
         Event::RungFinished { rung: self, outcome, accepted }
     }
+
+    fn skipped(self) -> Event {
+        unreachable!("the ladder picks the first accepted rung and rules none out")
+    }
 }
 
 impl Lane for Form {
@@ -494,6 +521,10 @@ impl Lane for Form {
 
     fn finished(self, outcome: Outcome, cost: Option<u64>, accepted: bool) -> Event {
         Event::FormFinished { form: self, outcome, cost, accepted }
+    }
+
+    fn skipped(self) -> Event {
+        Event::FormSkipped { form: self }
     }
 }
 
@@ -540,6 +571,16 @@ pub(crate) struct Verdict<L> {
     pub(crate) wall: Duration,
     /// Whether it was accepted: verified and within the memory budget.
     pub(crate) accepted: bool,
+    /// Whether the plan skipped it (never accepted, no cost).
+    pub(crate) skipped: bool,
+}
+
+impl<L> Verdict<L> {
+    /// The verdict of an entrant the plan skipped: it never ran.
+    fn skipped(lane: L) -> Self {
+        let (outcome, wall) = (Outcome::Completed, Duration::ZERO);
+        Verdict { lane, outcome, cost: None, wall, accepted: false, skipped: true }
+    }
 }
 
 #[cfg(test)]

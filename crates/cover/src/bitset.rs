@@ -352,6 +352,13 @@ impl BitSet {
             .flat_map(|(wi, (&a, &b))| word_ones(wi, a & b))
     }
 
+    /// The backing words, bit `i` at bit `i % 64` of word `i / 64`; bits
+    /// past `len` are zero.
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// The index of the first set bit, or `None`.
     #[must_use]
     pub fn first_one(&self) -> Option<usize> {
@@ -365,7 +372,7 @@ impl BitSet {
 }
 
 /// The set-bit indices of word `wi` (value `w`) of a bitset, ascending.
-fn word_ones(wi: usize, mut w: u64) -> impl Iterator<Item = usize> {
+pub(crate) fn word_ones(wi: usize, mut w: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         if w == 0 {
             None

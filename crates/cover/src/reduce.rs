@@ -8,7 +8,7 @@
 //! an undo [`Trail`], so entering a node costs a few pushes and leaving it
 //! is a replay — no allocation on the search path at all.
 
-use crate::bitset::LoneOne;
+use crate::bitset::{word_ones, LoneOne};
 use crate::problem::CoverProblem;
 use crate::BitSet;
 
@@ -214,12 +214,15 @@ pub(crate) struct Scratch {
     /// Entry-time active column indices for the column-dominance pass,
     /// and the columns reduced-cost fixing retires.
     pub(crate) col_list: Vec<u32>,
+    /// The column-dominance pass's word indices of the entry-time active
+    /// columns, and one column's candidate dominators as `(word index,
+    /// word)` pairs, nonzero words only.
+    pub(crate) dom_words: Vec<u32>,
+    pub(crate) dom: Vec<(u32, u64)>,
     /// Per-row OR-fold signature of `cols(r) ∩ active` — subset-monotone,
     /// so `sig[s] ⊄ sig[r]` proves `s` cannot dominate `r` without a span
     /// test. Filled by the row-dominance count pass.
     pub(crate) row_sig: Vec<u64>,
-    /// Per-column OR-fold signature of `rows(c) ∩ active`, ditto.
-    pub(crate) col_sig: Vec<u64>,
     /// Trail position right after the last row-dominance pass. While the
     /// trail is still at this mark, nothing has mutated the state since,
     /// so the sorted `(count, row)` keys in `row_keys` are exactly the
@@ -257,7 +260,8 @@ impl Scratch {
             row_keys: Vec::with_capacity(problem.num_rows()),
             col_list: Vec::with_capacity(problem.num_columns()),
             row_sig: vec![0; problem.num_rows()],
-            col_sig: vec![0; problem.num_columns()],
+            dom_words: Vec::with_capacity(problem.num_columns().div_ceil(64)),
+            dom: Vec::with_capacity(problem.num_columns().div_ceil(64)),
             fresh_mark: usize::MAX,
             used_cols: BitSet::new(problem.num_columns()),
             dual: vec![0; problem.num_rows()],
@@ -370,16 +374,17 @@ pub(crate) fn remove_dominated_rows(index: &RowIndex, state: &mut TrailState, sc
 }
 
 /// Removes dominated columns: if `rows(b) ∩ active ⊆ rows(a) ∩ active` and
-/// `cost(a) ≤ cost(b)`, column `b` never beats `a` and is dropped. Masked
-/// word-level subset tests — no per-pair set is ever materialized.
+/// `cost(a) ≤ cost(b)`, column `b` never beats `a` and is dropped.
 ///
-/// Any dominator of `b` covers every active row of `b`, in particular its
-/// first one, `r`. So `b` is tested only against the active columns of
-/// `index.row_cols[r]`, or against the entry-time active list when that
-/// is shorter (a wide matrix's row can hold thousands of columns while
-/// only a few dozen are still active). The pass costs `Σ_b |cols(r_b)|`
-/// pair tests instead of `|active|²`, and removes exactly the columns the
-/// all-pairs scan removes.
+/// The candidate dominators of `b` are exactly the active columns that
+/// cover every active row of `b`: `active_cols ∩ ⋂ cols(r)` over
+/// `r ∈ rows(b) ∩ active_rows`, word ANDs over [`RowIndex`]'s per-row
+/// column sets. Only the cost and tie-break test then runs, on the few
+/// columns that survive the intersection; no pair subset test is made.
+/// The pass costs `Σ_b |rows(b) ∩ active|` word ANDs, each over the words
+/// that still hold a candidate (the words of the active set at first,
+/// fewer with every row), and removes exactly the columns the all-pairs
+/// scan removes.
 pub(crate) fn remove_dominated_cols(
     problem: &CoverProblem,
     index: &RowIndex,
@@ -390,47 +395,56 @@ pub(crate) fn remove_dominated_cols(
     // strict partial order (subsets chain, and the tie-break below keeps
     // it acyclic), so a dominated column always has an undominated
     // dominator, which no earlier removal can have retired: the removal
-    // set is the same in any visit order and for any candidate list that
+    // set is the same in any visit order and for any candidate set that
     // contains every dominator.
     scratch.col_list.clear();
     for c in state.active_cols.iter_ones() {
         scratch.col_list.push(c as u32);
-        let (count, sig) = problem.rows_of(c).and_count_ones_fold(&state.active_rows);
-        scratch.col_count[c] = count as u32;
-        scratch.col_sig[c] = sig;
+        scratch.col_count[c] = problem.rows_of(c).and_count_ones(&state.active_rows) as u32;
     }
+    // A dominator is active, so only the words of the active set that hold
+    // a column at entry can hold one.
+    scratch.dom_words.clear();
+    let live = state.active_cols.words().iter().enumerate().filter(|&(_, &w)| w != 0);
+    scratch.dom_words.extend(live.map(|(wi, _)| wi as u32));
     for bi in 0..scratch.col_list.len() {
         let b = scratch.col_list[bi] as usize;
-        let Some(r) = problem.rows_of(b).first_one_in(&state.active_rows) else {
+        if scratch.col_count[b] == 0 {
             state.deactivate_col(b); // covers no active row
             continue;
-        };
-        let candidates = if index.row_cols[r].len() < scratch.col_list.len() {
-            &index.row_cols[r]
-        } else {
-            &scratch.col_list
-        };
-        for &a in candidates {
-            let a = a as usize;
-            // `a` may be inactive since entry (a `row_cols` entry) or
-            // deactivated as an earlier outer column.
-            if a == b || !state.active_cols.get(a) {
-                continue;
-            }
-            let dominates = problem.cost(a) <= problem.cost(b)
-                // Signature rejection first: necessary for the subset, so
-                // it filters without changing the outcome.
-                && scratch.col_sig[b] & !scratch.col_sig[a] == 0
-                && problem.rows_of(b).is_subset_within(problem.rows_of(a), &state.active_rows)
-                // Strictness or index tie-break so identical columns don't
-                // eliminate each other.
-                && (problem.cost(a) < problem.cost(b)
-                    || scratch.col_count[b] < scratch.col_count[a]
-                    || a < b);
-            if dominates {
-                state.deactivate_col(b);
+        }
+        // `dom` holds the nonzero words of the candidate set as
+        // `(word index, word)` pairs. `b` itself stays in it (it covers
+        // every one of its rows), so once it is all that is left no other
+        // column can dominate `b`.
+        let Scratch { dom, dom_words, col_count, .. } = &mut *scratch;
+        let active = state.active_cols.words();
+        dom.clear();
+        dom.extend(dom_words.iter().map(|&wi| (wi, active[wi as usize])).filter(|&(_, w)| w != 0));
+        let only_b = ((b / 64) as u32, 1u64 << (b % 64));
+        for r in problem.rows_of(b).iter_ones_and(&state.active_rows) {
+            let cols = index.row_col_sets[r].words();
+            dom.retain_mut(|(wi, w)| {
+                *w &= cols[*wi as usize];
+                *w != 0
+            });
+            if dom.len() == 1 && dom[0] == only_b {
                 break;
             }
+        }
+        let (cost_b, count_b) = (problem.cost(b), col_count[b]);
+        let dominated = dom.iter().any(|&(wi, w)| {
+            word_ones(wi as usize, w).any(|a| {
+                let cost_a = problem.cost(a);
+                a != b
+                    && cost_a <= cost_b
+                    // Strictness or index tie-break so identical columns
+                    // don't eliminate each other.
+                    && (cost_a < cost_b || count_b < col_count[a] || a < b)
+            })
+        });
+        if dominated {
+            state.deactivate_col(b);
         }
     }
     // Only columns left the active set, so the survivors' counts stay
@@ -776,6 +790,46 @@ mod tests {
         (removed, count)
     }
 
+    /// A random matrix of `num_rows` rows and `num_cols` columns, with
+    /// duplicates of earlier columns and costs from a small range, so the
+    /// equal-rows and equal-cost tie-breaks get exercised.
+    fn random_matrix(
+        rng: &mut rand::rngs::StdRng,
+        num_rows: usize,
+        num_cols: usize,
+    ) -> CoverProblem {
+        use rand::Rng;
+        let mut p = CoverProblem::new(num_rows);
+        let density = [0.02, 0.05, 0.1, 0.2, 0.4][rng.gen_range(0..5usize)];
+        let mut cols: Vec<Vec<usize>> = Vec::new();
+        for _ in 0..num_cols {
+            let rows = if !cols.is_empty() && rng.gen_bool(0.2) {
+                cols[rng.gen_range(0..cols.len())].clone()
+            } else {
+                (0..num_rows).filter(|_| rng.gen_bool(density)).collect()
+            };
+            p.add_column(&rows, rng.gen_range(1..=4u64));
+            cols.push(rows);
+        }
+        p
+    }
+
+    /// Runs the pass on `st` and checks it against the all-pairs oracle;
+    /// returns how many columns it removed and kept.
+    fn check_col_dominance(p: &CoverProblem, mut st: TrailState) -> (usize, usize) {
+        let entry_cols = st.active_cols.clone();
+        let (removed, count) = dominated_cols_oracle(p, &st);
+        let mut scratch = Scratch::new(p);
+        remove_dominated_cols(p, &RowIndex::build(p), &mut st, &mut scratch);
+        let got: Vec<usize> = entry_cols.iter_ones().filter(|&c| !st.active_cols.get(c)).collect();
+        assert_eq!(got, removed, "{} rows, {} columns", p.num_rows(), p.num_columns());
+        for c in st.active_cols.iter_ones() {
+            assert_eq!(scratch.col_count[c], count[c], "column {c}");
+        }
+        assert_eq!(scratch.col_count_mark, st.mark());
+        (removed.len(), st.cols_left())
+    }
+
     #[test]
     fn col_dominance_matches_an_all_pairs_oracle() {
         use rand::rngs::StdRng;
@@ -784,20 +838,8 @@ mod tests {
         let (mut removed_total, mut kept_total) = (0, 0);
         for _ in 0..150 {
             let num_rows = rng.gen_range(1..=200usize);
-            let mut p = CoverProblem::new(num_rows);
-            let density = [0.02, 0.05, 0.1, 0.2, 0.4][rng.gen_range(0..5usize)];
-            let mut cols: Vec<Vec<usize>> = Vec::new();
-            for _ in 0..rng.gen_range(1..=120usize) {
-                // Duplicates of earlier columns, and costs from a small
-                // range, exercise the equal-rows and equal-cost tie-breaks.
-                let rows = if !cols.is_empty() && rng.gen_bool(0.2) {
-                    cols[rng.gen_range(0..cols.len())].clone()
-                } else {
-                    (0..num_rows).filter(|_| rng.gen_bool(density)).collect()
-                };
-                p.add_column(&rows, rng.gen_range(1..=4u64));
-                cols.push(rows);
-            }
+            let num_cols = rng.gen_range(1..=120usize);
+            let p = random_matrix(&mut rng, num_rows, num_cols);
             let mut st = TrailState::root(&p);
             for _ in 0..rng.gen_range(0..=3usize) {
                 let c = rng.gen_range(0..p.num_columns());
@@ -817,22 +859,57 @@ mod tests {
                     st.deactivate_col(c);
                 }
             }
-            let entry_cols = st.active_cols.clone();
-            let (removed, count) = dominated_cols_oracle(&p, &st);
-            let mut scratch = Scratch::new(&p);
-            remove_dominated_cols(&p, &RowIndex::build(&p), &mut st, &mut scratch);
-            let got: Vec<usize> =
-                entry_cols.iter_ones().filter(|&c| !st.active_cols.get(c)).collect();
-            assert_eq!(got, removed, "{num_rows} rows, {} columns", p.num_columns());
-            for c in st.active_cols.iter_ones() {
-                assert_eq!(scratch.col_count[c], count[c], "column {c}");
-            }
-            assert_eq!(scratch.col_count_mark, st.mark());
-            removed_total += removed.len();
-            kept_total += st.cols_left();
+            let (removed, kept) = check_col_dominance(&p, st);
+            removed_total += removed;
+            kept_total += kept;
         }
         // The sample must exercise both outcomes.
         assert!(removed_total > 0 && kept_total > 0, "{removed_total} removed, {kept_total} kept");
+    }
+
+    /// The interior-node shape of the wide covers (root, life): over 256
+    /// columns, of which at most 64 are still active, scattered over the
+    /// words, so the candidate intersections span several words and skip
+    /// the empty ones.
+    #[test]
+    fn col_dominance_matches_the_oracle_on_wide_sparse_matrices() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x051d_ec01);
+        let (mut removed_total, mut kept_total, mut multi_word) = (0, 0, 0);
+        for _ in 0..80 {
+            let num_rows = rng.gen_range(1..=80usize);
+            let num_cols = rng.gen_range(257..=700usize);
+            let p = random_matrix(&mut rng, num_rows, num_cols);
+            let mut st = TrailState::root(&p);
+            // Keep a random subset of at most 64 columns: either spread
+            // over the whole matrix or bunched into a few adjacent words.
+            let keep = rng.gen_range(1..=64usize);
+            let kept: Vec<usize> = if rng.gen_bool(0.5) {
+                (0..keep).map(|_| rng.gen_range(0..num_cols)).collect()
+            } else {
+                let start = rng.gen_range(0..num_cols - 192);
+                (0..keep).map(|_| start + rng.gen_range(0..192usize)).collect()
+            };
+            for c in 0..num_cols {
+                if !kept.contains(&c) {
+                    st.deactivate_col(c);
+                }
+            }
+            for _ in 0..rng.gen_range(0..=num_rows / 4) {
+                let r = rng.gen_range(0..num_rows);
+                if st.active_rows.get(r) {
+                    st.deactivate_row(r);
+                }
+            }
+            let words = st.active_cols.words().iter().filter(|&&w| w != 0).count();
+            multi_word += usize::from(words > 1);
+            let (removed, kept) = check_col_dominance(&p, st);
+            removed_total += removed;
+            kept_total += kept;
+        }
+        assert!(removed_total > 0 && kept_total > 0, "{removed_total} removed, {kept_total} kept");
+        assert!(multi_word > 40, "only {multi_word} multi-word samples");
     }
 
     #[test]

@@ -353,6 +353,15 @@ pub enum Event {
         /// `false` means it is excluded from winner selection.
         accepted: bool,
     },
+    /// A portfolio race skipped one form without running it: an earlier
+    /// entrant's accepted result is a proved minimum that the form can
+    /// at best tie (a proved SPP minimum under the literal cost costs no
+    /// more than any DSOP or SOP form). Takes the place of the form's
+    /// started/finished pair.
+    FormSkipped {
+        /// Which form.
+        form: Form,
+    },
     /// A worker panic was caught and isolated; the run continues on the
     /// surviving workers.
     WorkerPanicked {
@@ -560,6 +569,9 @@ impl Event {
                  \"outcome\":\"{outcome}\",\"cost\":{},\"accepted\":{accepted}}}",
                 cost.map_or_else(|| "null".to_owned(), |c| c.to_string())
             ),
+            Event::FormSkipped { form } => {
+                format!("{{\"event\":\"form_skipped\",\"form\":\"{form}\"}}")
+            }
             Event::WorkerPanicked { site, message } => format!(
                 "{{\"event\":\"worker_panicked\",\"site\":\"{}\",\"message\":\"{}\"}}",
                 json_escape(site),
@@ -692,6 +704,9 @@ impl fmt::Display for Event {
                 },
                 if *accepted { "in the race" } else { "excluded" }
             ),
+            Event::FormSkipped { form } => {
+                write!(f, "portfolio: form {form} skipped (cannot beat a proved minimum)")
+            }
             Event::WorkerPanicked { site, message } => {
                 write!(f, "fault: caught worker panic at {site}: {message}")
             }
@@ -1725,6 +1740,9 @@ mod tests {
         };
         assert!(e.to_json().contains("\"cost\":null"));
         assert!(e.to_string().contains("excluded"));
+        let e = Event::FormSkipped { form: Form::Sop };
+        assert_eq!(e.to_json(), "{\"event\":\"form_skipped\",\"form\":\"sop\"}");
+        assert!(e.to_string().contains("skipped") && !e.to_string().contains("excluded"));
     }
 
     /// A writer that panics on its first write, then behaves normally —

@@ -9,7 +9,8 @@
 # clippy and rustdoc with warnings denied, a compile check of the
 # feature-gated Criterion bench targets, CLI smokes of the deadline- and
 # memory-degradation paths (the rung ladder alone and nested inside the
-# form race), an adr4 smoke that every cover is proved optimal, a
+# form race), a maj5 smoke that a proved SPP minimum skips the DSOP and
+# SOP entrants of the form race, an adr4 smoke that every cover is proved optimal, a
 # determinism smoke (two --threads 1 runs of adr4, root and maj5,
 # diffed), a
 # thread-count smoke (adr4, dist, g2b8, adr4 --2spp, adr4 --heuristic 0
@@ -169,6 +170,17 @@ if [ "$RACE_COMPLETED" -ne 4 ]; then
   echo "ci: expected 4 completed scoreboard lines, got $RACE_COMPLETED" >&2
   exit 1
 fi
+
+echo "==> CLI portfolio skip smoke (a proved SPP minimum skips the DSOP and SOP entrants)"
+SKIP_OUT=$(./target/release/spp bench maj5 --form portfolio --threads 1 --quiet)
+for LINE in "spp +completed: cost [0-9]+" "esop +completed: cost [0-9]+" \
+            "dsop +skipped: " "sop +skipped: "; do
+  if ! grep -qE "^  $LINE" <<<"$SKIP_OUT"; then
+    echo "ci: maj5 portfolio scoreboard lacks a line matching '$LINE':" >&2
+    echo "$SKIP_OUT" >&2
+    exit 1
+  fi
+done
 
 echo "==> CLI cache smoke (second identical --cache-dir run must hit)"
 rm -rf /tmp/spp-ci-cache

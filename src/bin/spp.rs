@@ -554,6 +554,14 @@ fn run(outputs: &[BoolFn], labels: &[String], options: &Options) -> ExitCode {
     if let (Some(winner), Some(reports)) = (resp.winner, resp.forms.as_deref()) {
         println!("portfolio winner: {winner} (by {})", req.objective);
         for report in reports {
+            if report.skipped {
+                // Not run, which is not the same as run and rejected.
+                println!(
+                    "  {:<4} skipped: a proved SPP minimum costs no more",
+                    report.form.as_str()
+                );
+                continue;
+            }
             let cost = report
                 .cost
                 .map_or_else(|| "unverified".to_owned(), |c| c.to_string());

@@ -231,3 +231,32 @@ fn multi_flag_reports_sharing() {
     assert!(text.contains("multi-output SPP"), "{text}");
     assert!(text.contains("shared literals"), "{text}");
 }
+
+#[test]
+fn portfolio_scoreboard_tells_skipped_from_excluded_entrants() {
+    let race = |extra: &[&str]| {
+        let out = spp()
+            .args(["bench", "adr4", "--form", "portfolio", "--threads", "1", "--quiet"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success());
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    // Every output's SPP minimum is proved, so DSOP and SOP are skipped,
+    // with the reason, and nothing is excluded.
+    let text = race(&[]);
+    assert!(text.contains("portfolio winner: spp (by literals)"), "{text}");
+    assert!(text.contains("\n  spp  completed: cost 72, "), "{text}");
+    assert!(text.contains("\n  esop completed: cost 106, "), "{text}");
+    assert!(text.contains("\n  dsop skipped: a proved SPP minimum costs no more\n"), "{text}");
+    assert!(text.contains("\n  sop  skipped: a proved SPP minimum costs no more\n"), "{text}");
+    assert!(!text.contains("excluded") && !text.contains("unverified"), "{text}");
+    // Under a one-megabyte budget no SPP minimum is proved on the exact
+    // rung: all four forms run, and the ESOP wins.
+    let text = race(&["--mem-budget-mb", "1"]);
+    assert!(text.contains("portfolio winner: esop (by literals)"), "{text}");
+    let completed = text.lines().filter(|l| l.contains(" completed: cost ")).count();
+    assert_eq!(completed, 4, "{text}");
+    assert!(!text.contains("skipped"), "{text}");
+}
